@@ -44,6 +44,15 @@ from .field_tower import kernel_from_columns
 from .skew_series import SkewSeries, commutator, conjugate, term, zero
 
 _CONJ_SEED = "conjugator-search"
+# every route decompose() can name in a certificate
+METHODS = (
+    "InfiniteWitness",
+    "DegreeAtLeast5",
+    "Order4Split",
+    "Order4L",
+    "Order4Conjugated",
+    "ZeroInput",
+)
 
 
 @dataclass(frozen=True)
@@ -66,9 +75,13 @@ def verify_certificate(cert):
 
     Returns False when the witnesses do not reproduce the input below
     check_prec, or when they are too imprecise to be checked at all.
+    A certificate must claim exactly the input's precision (a lower claim
+    can make the comparison vacuous) and name one of the known METHODS.
     Mixing coefficient fields raises FieldMismatch.
     """
     f = cert.input
+    if cert.method not in METHODS or cert.check_prec != f.prec:
+        return False
     if len(cert.pairs) != 2:
         return False
     brackets = []

@@ -10,8 +10,11 @@ Two concrete families are provided:
   infinite order and fixed field Q.
 
 Elements are exact: packed base-p integers for finite fields (with
-exp/log/Zech tables when the field is small enough), reduced fractions
-of Fraction-coefficient polynomials for Q(t).
+exp/log/Zech tables when the field is small enough), and for Q(t) a pair
+n/d of integer-coefficient polynomials, coprime over Q[t], with joint
+integer content 1 and a positive leading coefficient of d.  Q(t)
+arithmetic is fraction-free: gcds over Z[t] run a primitive
+pseudo-remainder sequence and each result is normalised once.
 
 The module also hosts the exact k0-linear algebra (Gaussian elimination
 over k0) and the order-4 subspace context used by the decomposition
@@ -25,6 +28,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from operator import add, mul
 
 from .errors import (
     FieldMismatch,
@@ -404,9 +408,6 @@ class FieldCtx:
     def k0_vec_basis(self):
         """Elements of k whose k0_vec images are the standard basis vectors."""
         raise InfiniteOrder("k0-linear algebra requires finite sigma order")
-
-    def k0_basis(self):
-        return self.k0_vec_basis()
 
     def k0_scalar_to_elem(self, c):
         raise InfiniteOrder("k0-linear algebra requires finite sigma order")
@@ -891,135 +892,196 @@ class FiniteFieldCtx(FieldCtx):
 
 # ---------------------------------------------------------------------------
 # rational functions over Q
+#
+# Polynomials over Z are tuples of ints, ascending degree, trailing-trimmed.
+# A rational function is a pair n/d of them, coprime over Q[t], with joint
+# integer content 1 and d[-1] > 0.  That form is unique, so equality is
+# tuple equality, and each operation normalises its result once.
 
 
-_QONE = (Fraction(1),)
+_ZONE = (1,)
 
 
-def _qtrim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _zadd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(map(add, a, b))
+    if len(a) > len(b):
+        out.extend(a[len(b) :])
+        return tuple(out)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-def _qadd(a, b):
-    n = max(len(a), len(b))
-    return _qtrim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _qneg(a):
-    return tuple(-c for c in a)
-
-
-def _qmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _zmul(a, b):
+    """Product of two nonzero integer polynomials."""
+    if len(a) == 1:
+        c = a[0]
+        return tuple([c * x for x in b])
+    if len(b) == 1:
+        c = b[0]
+        return tuple([c * x for x in a])
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _qtrim(out)
+            for k, bj in enumerate(b, i):
+                out[k] += ai * bj
+    return tuple(out)
 
 
-def _qdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
+def _zdiv(a, b):
+    """Quotient a / b for b primitive and dividing a over Q[t] (it lies in Z[t])."""
+    db = len(b) - 1
+    r = list(a)
+    lead = b[-1]
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db] // lead
         if c:
             q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _qtrim(q), _qtrim(a)
+            for k, bj in enumerate(b, i):
+                r[k] -= c * bj
+    return tuple(q)
 
 
-def _qgcd(a, b):
-    while b:
-        a, b = b, _qdivmod(a, b)[1]
-    if a and a[-1] != 1:
-        inv = 1 / a[-1]
-        a = tuple(c * inv for c in a)
-    return a
+def _zpp(a):
+    """Primitive part of a nonzero a, with a positive leading coefficient."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else tuple([x // c for x in a])
 
 
-def _qshift(cs, j):
-    """Substitute t -> t + j into a polynomial (Horner form)."""
-    if len(cs) <= 1 or j == 0:
-        return cs
-    res = ()
-    for c in reversed(cs):
-        shifted = [Fraction(0)] * (len(res) + 1)
-        for k, rk in enumerate(res):
-            shifted[k + 1] += rk
-            shifted[k] += rk * j
-        shifted[0] += c
-        res = _qtrim(shifted)
-    return res
+def _zprem(u, v):
+    """Pseudo-remainder: lc(v)^k * u mod v, k the number of division steps."""
+    r = list(u)
+    lead = v[-1]
+    dv = len(v) - 1
+    while len(r) > dv:
+        c = r.pop()  # lead * c - c * lead cancels the top term
+        if lead != 1:
+            r = [x * lead for x in r]
+        for k, vk in enumerate(v[:dv], len(r) - dv):
+            r[k] -= c * vk
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
 
 
-def _qscale_sub(cs, factor):
-    """Substitute t -> factor * t into a polynomial."""
-    out = []
-    f = Fraction(1)
-    for c in cs:
-        out.append(c * f)
-        f *= factor
-    return _qtrim(out)
+def _zgcd(a, b):
+    """(g, a/g, b/g) for the primitive gcd g of nonzero a, b over Z[t], g[-1] > 0.
+
+    Primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1).
+    """
+    if len(a) == 1 or len(b) == 1:
+        return _ZONE, a, b
+    u, v = _zpp(a), _zpp(b)
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        r = _zprem(u, v)
+        if not r:
+            return v, _zdiv(a, v), _zdiv(b, v)
+        u, v = v, _zpp(r)
+    return _ZONE, a, b
+
+
+def _zshift(a, s):
+    """a(t + s) for an integer s (Taylor shift)."""
+    c = list(a)
+    top = len(c) - 1
+    for i in range(top):
+        for k in range(top - 1, i - 1, -1):
+            c[k] += s * c[k + 1]
+    return tuple(c)
+
+
+def _zscale(n, d, a, b):
+    """b^D * n(a*t/b) and b^D * d(a*t/b) for nonzero a, b; D the larger degree."""
+    size = max(len(n), len(d))
+    w = [1] * size
+    for k in range(1, size):
+        w[k] = w[k - 1] * a
+    bk = 1
+    for k in range(size - 2, -1, -1):
+        bk *= b
+        w[k] *= bk
+    return tuple(map(mul, n, w)), tuple(map(mul, d, w))
+
+
+def _normed(ctx, n, d):
+    """n/d for n, d coprime over Q[t]: joint content divided out, d[-1] > 0."""
+    if not n:
+        return RatFunc(ctx, ())
+    g = gcd(*n, *d)
+    if d[-1] < 0:
+        g = -g
+    if g != 1:
+        n = tuple([c // g for c in n])
+        d = tuple([c // g for c in d])
+    return RatFunc(ctx, n, d)
 
 
 class RatFunc:
-    """Reduced fraction of polynomials over Q, denominator monic."""
+    """Element n/d of Q(t): integer polynomials, coprime over Q[t], with
+    joint content 1 and d[-1] > 0."""
 
-    __slots__ = ("ctx", "num", "den")
+    __slots__ = ("ctx", "n", "d")
 
-    def __init__(self, ctx, num, den=_QONE, reduce=True):
-        num = _qtrim(num)
-        den = _qtrim(den)
-        if not den:
-            raise ZeroNotInvertible("zero denominator")
-        if not num:
-            den = _QONE
-        elif den != _QONE:
-            if reduce:
-                g = _qgcd(num, den)
-                if len(g) > 1:
-                    num = _qdivmod(num, g)[0]
-                    den = _qdivmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                inv = 1 / lead
-                num = tuple(c * inv for c in num)
-                den = tuple(c * inv for c in den)
-            if len(den) == 1:
-                den = _QONE
+    def __init__(self, ctx, n, d=_ZONE):
         self.ctx = ctx
-        self.num = num
-        self.den = den
+        self.n = n
+        self.d = d
+
+    @property
+    def num(self):
+        """Numerator coefficients as Fractions, scaled so that ``den`` is monic."""
+        lead = self.d[-1]
+        return tuple(Fraction(c, lead) for c in self.n)
+
+    @property
+    def den(self):
+        """Monic denominator coefficients as Fractions."""
+        lead = self.d[-1]
+        return tuple(Fraction(c, lead) for c in self.d)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise FieldMismatch("elements of different fields")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.from_fraction(Fraction(other))
+        if isinstance(other, int):
+            return self.ctx.from_int(other)
+        if isinstance(other, Fraction):
+            return self.ctx.from_fraction(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == _QONE and o.den == _QONE:
-            return RatFunc(self.ctx, _qadd(self.num, o.num), reduce=False)
-        num = _qadd(_qmul(self.num, o.den), _qmul(o.num, self.den))
-        return RatFunc(self.ctx, num, _qmul(self.den, o.den))
+        n1, d1, n2, d2 = self.n, self.d, o.n, o.d
+        if not n1:
+            return o
+        if not n2:
+            return self
+        ctx = self.ctx
+        if len(d1) == 1 and d1 == d2:
+            n = _zadd(n1, n2)
+            if d1 == _ZONE or not n:
+                return RatFunc(ctx, n)
+            return _normed(ctx, n, d1)
+        # Henrici: with g = gcd(d1, d2), only g can share a factor with n
+        g, c1, c2 = _zgcd(d1, d2)
+        n = _zadd(_zmul(n1, c2), _zmul(n2, c1))
+        if not n:
+            return RatFunc(ctx, ())
+        d = _zmul(c1, c2)
+        if len(g) > 1:
+            _, n, g = _zgcd(n, g)
+            d = _zmul(d, g)
+        return _normed(ctx, n, d)
 
     __radd__ = __add__
 
@@ -1036,15 +1098,24 @@ class RatFunc:
         return o - self
 
     def __neg__(self):
-        return RatFunc(self.ctx, _qneg(self.num), self.den, reduce=False)
+        return RatFunc(self.ctx, tuple([-c for c in self.n]), self.d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == _QONE and o.den == _QONE:
-            return RatFunc(self.ctx, _qmul(self.num, o.num), reduce=False)
-        return RatFunc(self.ctx, _qmul(self.num, o.num), _qmul(self.den, o.den))
+        n1, d1, n2, d2 = self.n, self.d, o.n, o.d
+        ctx = self.ctx
+        if not n1 or not n2:
+            return RatFunc(ctx, ())
+        if len(d1) == 1 and len(d2) == 1:
+            n = _zmul(n1, n2)
+            if d1 == _ZONE and d2 == _ZONE:
+                return RatFunc(ctx, n)
+            return _normed(ctx, n, (d1[0] * d2[0],))
+        _, n1, d2 = _zgcd(n1, d2)
+        _, n2, d1 = _zgcd(n2, d1)
+        return _normed(ctx, _zmul(n1, n2), _zmul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -1061,9 +1132,12 @@ class RatFunc:
         return o * self.inverse()
 
     def inverse(self):
-        if not self.num:
+        n, d = self.n, self.d
+        if not n:
             raise ZeroNotInvertible("0 has no inverse")
-        return RatFunc(self.ctx, self.den, self.num, reduce=False)
+        if n[-1] < 0:
+            return RatFunc(self.ctx, tuple([-c for c in d]), tuple([-c for c in n]))
+        return RatFunc(self.ctx, d, n)
 
     def __pow__(self, k):
         if k < 0:
@@ -1078,27 +1152,33 @@ class RatFunc:
         return out
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.n)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.n == o.n and self.d == o.d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        n, d = self.n, self.d
+        if len(n) <= 1 and len(d) == 1:
+            # a constant hashes like the equal int or Fraction
+            return hash(Fraction(n[0], d[0])) if n else 0
+        return hash((n, d))
 
     def __str__(self):
-        if self.den == _QONE:
-            return _qpoly_str(self.num)
-        return f"({_qpoly_str(self.num)})/({_qpoly_str(self.den)})"
+        lead = self.d[-1]
+        if len(self.d) == 1:
+            return _qpoly_str(self.n, lead)
+        return f"({_qpoly_str(self.n, lead)})/({_qpoly_str(self.d, lead)})"
 
     def __repr__(self):
         return f"RatFunc({self})"
 
 
-def _qpoly_str(cs):
+def _qpoly_str(cs, lead):
+    """The polynomial with coefficients c / lead, as Fractions print them."""
     if not cs:
         return "0"
     parts = []
@@ -1106,6 +1186,10 @@ def _qpoly_str(cs):
         c = cs[i]
         if c == 0:
             continue
+        g = gcd(c, lead)
+        c, q = c // g, lead // g
+        if q != 1:
+            c = f"{c}/{q}"
         if i == 0:
             parts.append(str(c))
         else:
@@ -1142,37 +1226,47 @@ class RationalFunctionCtx(FieldCtx):
         self.key = ("qt", kind, self.scale)
 
     def sigma(self, a, i=1):
-        if i == 0 or (len(a.num) <= 1 and a.den == _QONE):
+        n, d = a.n, a.d
+        if i == 0 or (len(n) <= 1 and len(d) == 1):
             return a
         if self.kind == "shift":
-            j = Fraction(i)
-            return RatFunc(self, _qshift(a.num, j), _qshift(a.den, j), reduce=False)
-        f = self.scale**i
-        return RatFunc(self, _qscale_sub(a.num, f), _qscale_sub(a.den, f), reduce=False)
+            # a Taylor shift keeps content, leading coefficients and coprimality
+            return RatFunc(self, _zshift(n, i), _zshift(d, i))
+        a, b = self.scale.numerator, self.scale.denominator
+        if i < 0:
+            a, b, i = b, a, -i
+        return _normed(self, *_zscale(n, d, a**i, b**i))
 
     def zero(self):
         return RatFunc(self, ())
 
     def one(self):
-        return RatFunc(self, _QONE, reduce=False)
+        return RatFunc(self, _ZONE)
 
     def from_int(self, v):
-        return RatFunc(self, (Fraction(v),), reduce=False)
+        return RatFunc(self, (int(v),) if v else ())
 
     def from_fraction(self, fr):
-        return RatFunc(self, (Fraction(fr),), reduce=False)
+        fr = Fraction(fr)
+        return RatFunc(self, (fr.numerator,) if fr else (), (fr.denominator,))
 
     def gen(self):
         """The independent variable t."""
-        return RatFunc(self, (Fraction(0), Fraction(1)), reduce=False)
+        return RatFunc(self, (0, 1))
 
     def random_elem(self, rng):
         """Small random rational function (degrees kept low for speed)."""
-        num = tuple(Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3)))
+        num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+        while num and not num[-1]:
+            num.pop()
+        num = tuple(num)
         if rng.random() < 0.5:
             return RatFunc(self, num)
-        den = (Fraction(rng.randint(-3, 3)), Fraction(1))
-        return RatFunc(self, num, den)
+        den = (rng.randint(-3, 3), 1)
+        if not num:
+            return RatFunc(self, num)
+        _, num, den = _zgcd(num, den)
+        return _normed(self, num, den)
 
     @property
     def characteristic(self):

@@ -283,6 +283,25 @@ def test_cli_verify_rejects_tampered_certificate():
     assert code == 1
 
 
+def test_cli_verify_rejects_vacuous_certificates():
+    code, out, _ = run_cli(
+        ["decompose", "--field", "gf(3^4)", "--sigma", "frob", "(g)*x^-2 + x + O(x^10)"]
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["method"] == "Order4L"
+    junk = {"val": 0, "prec": 1, "coeffs": ["1"]}
+    obj["pairs"] = [[junk, junk], [junk, junk]]
+    # a claimed precision at or below the input's valuation compares nothing
+    obj["prec"] = -5
+    code, out, _ = run_cli(["verify", "-"], stdin_text=json.dumps(obj))
+    assert code == 1 and out.startswith("invalid")
+    obj["method"] = "Bogus"
+    obj["prec"] = -2
+    code, out, _ = run_cli(["verify", "-"], stdin_text=json.dumps(obj))
+    assert code == 1 and out.startswith("invalid")
+
+
 def test_cli_exit_code_3_for_unsupported():
     code, _, err = run_cli(["decompose", "--field", "gf(3^2)", "--sigma", "frob", "x^1"])
     assert code == 3 and "order 2" in err

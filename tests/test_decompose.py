@@ -357,6 +357,14 @@ def test_verify_rejects_tampering(gf34):
         Certificate(input=f, pairs=cert.pairs[:1], method=cert.method, check_prec=cert.check_prec)
     )
 
+    # a claim below the input's precision, and a route decompose never names
+    assert not verify_certificate(
+        Certificate(input=f, pairs=cert.pairs, method=cert.method, check_prec=cert.check_prec - 1)
+    )
+    assert not verify_certificate(
+        Certificate(input=f, pairs=cert.pairs, method="Bogus", check_prec=cert.check_prec)
+    )
+
 
 def test_verify_mixed_contexts_raise(gf34, gf25):
     f = term(gf34, gf34.one(), 1, 8)

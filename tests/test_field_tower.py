@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from math import gcd
+from operator import add, mul, sub
 
 import pytest
 
@@ -17,6 +19,7 @@ from skewlaurent.errors import (
 from skewlaurent.field_tower import (
     _STANDARD_POLYS,
     _is_irreducible,
+    _zgcd,
     FiniteFieldCtx,
     RationalFunctionCtx,
 )
@@ -411,3 +414,199 @@ def test_ratfunc_str(qt_shift):
     assert str(t * t - 2 * t + qt_shift.from_fraction(Fraction(1, 2))) == "t^2-2*t+1/2"
     assert str((t + 1) / (t - 1)) == "(t+1)/(t-1)"
     assert str(qt_shift.zero()) == "0"
+
+
+def test_ratfunc_constants_hash_like_numbers(qt_shift):
+    half = qt_shift.from_fraction(Fraction(1, 2))
+    assert hash(half) == hash(Fraction(1, 2))
+    assert hash(qt_shift.one()) == hash(1) and hash(qt_shift.zero()) == hash(0)
+    assert qt_shift.one() == 1
+    assert {1: "one"}.get(qt_shift.one()) == "one"
+    assert {Fraction(1, 2): "half"}.get(half) == "half"
+    t = qt_shift.gen()
+    assert {t + 1: "t+1"}.get(qt_shift.sigma(t, 1)) == "t+1"
+
+
+# ---------------------------------------------------------------------------
+# Q(t) kernel against Fraction evaluation
+
+
+def _qt_rem(a, b):
+    """Remainder of a by b over Q (Fraction Euclid, the reference)."""
+    a = [Fraction(c) for c in a]
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        off = len(a) - len(b)
+        for k, bk in enumerate(b):
+            a[off + k] -= c * bk
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _qt_coprime(a, b):
+    while b:
+        a, b = b, _qt_rem(a, b)
+    return len(a) == 1
+
+
+def _assert_canonical(x):
+    n, d = x.n, x.d
+    assert all(type(c) is int for c in n + d)
+    assert d and d[-1] > 0
+    if not n:
+        assert d == (1,)
+        return
+    assert n[-1] != 0
+    assert gcd(*n, *d) == 1
+    assert _qt_coprime(list(n), list(d))
+
+
+def _qt_value(x, r):
+    """x at the rational point r, or None at a pole."""
+    num = den = Fraction(0)
+    for c in reversed(x.n):
+        num = num * r + c
+    for c in reversed(x.d):
+        den = den * r + c
+    return None if den == 0 else num / den
+
+
+_QT_POINTS = (Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7), Fraction(-11, 13))
+
+
+@pytest.mark.parametrize("spec", ["shift", "scale:3/2", "scale:-2/3"])
+def test_ratfunc_kernel_matches_fraction_evaluation(spec):
+    if spec == "shift":
+        ctx = RationalFunctionCtx("shift")
+    else:
+        q = Fraction(spec.split(":")[1])
+        ctx = RationalFunctionCtx("scale", scale=q)
+
+    def moved(r, i):
+        """The point at which x takes the value sigma^i(x) takes at r."""
+        return r + i if spec == "shift" else q**i * r
+
+    rng = random.Random(f"qt-kernel:{spec}")
+
+    def elem():
+        # products and quotients of small elements, so gcds are nontrivial
+        a = ctx.random_elem(rng) * ctx.random_elem(rng)
+        b = ctx.random_elem(rng)
+        return a / b + Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if b else a
+
+    checked = 0
+    for _ in range(40):
+        a, b = elem(), elem()
+        binary = [(a + b, add), (a - b, sub), (a * b, mul)]
+        inv = a.inverse() if a else None
+        shifted = {i: ctx.sigma(a, i) for i in range(-4, 5)}
+        made = [a, b, *(res for res, _ in binary), *shifted.values()]
+        if a:
+            made.append(inv)
+        for x in made:
+            _assert_canonical(x)
+        for r in _QT_POINTS:
+            # sigma^i moves poles with the point: both sides are None together
+            for i, res in shifted.items():
+                assert _qt_value(res, r) == _qt_value(a, moved(r, i))
+                checked += 1
+            va, vb = _qt_value(a, r), _qt_value(b, r)
+            if va is None or vb is None:
+                continue
+            for res, op in binary:
+                assert _qt_value(res, r) == op(va, vb)
+                checked += 1
+            if va:
+                assert _qt_value(inv, r) == 1 / va
+                checked += 1
+    assert checked > 1000
+
+
+def test_integer_polynomial_gcd_with_cofactors():
+    # contents stay with the cofactors; the gcd is primitive with a positive lead
+    assert _zgcd((0, 2, 2), (-62, -64, -2)) == ((1, 1), (0, 2), (-62, -2))
+    assert _zgcd((2, 2), (6, 3)) == ((1,), (2, 2), (6, 3))
+    assert _zgcd((4, 4), (6, 6)) == ((1, 1), (4,), (6,))
+    # (2t + 1)(3t - 1) and (2t + 1)(t^2 + 1): a non-monic gcd over Z
+    assert _zgcd((-1, 1, 6), (1, 2, 1, 2)) == ((1, 2), (-1, 3), (1, 0, 1))
+    assert _zgcd((1, 0, 1), (1, 1)) == ((1,), (1, 0, 1), (1, 1))
+
+
+def _golden_elems(ctx):
+    rng = random.Random("qt-golden")
+    t = ctx.gen()
+    out = [
+        t,
+        ctx.from_fraction(Fraction(-3, 4)),
+        (t * t - 1) / (2 * t + 3),
+        Fraction(2, 7) * t**3 - Fraction(5, 3) * t + 4,
+        (3 * t + 1) ** -2,
+        ctx.sigma((t - Fraction(1, 2)) / (5 * t * t + 2), 3),
+        ctx.sigma(Fraction(-2, 9) * t**2 / (t + 1), -2),
+    ]
+    for _ in range(6):
+        a, b = ctx.random_elem(rng), ctx.random_elem(rng)
+        out.append(a * b + ctx.sigma(b, 2))
+        if b:
+            out.append(ctx.sigma(a / b, -1) - Fraction(1, 3))
+    return out
+
+
+# str() of _golden_elems, as printed by the Fraction-coefficient implementation
+_GOLDEN_STR = {
+    "shift": [
+        "t",
+        "-3/4",
+        "(1/2*t^2-1/2)/(t+3/2)",
+        "2/7*t^3-5/3*t+4",
+        "(1/9)/(t^2+2/3*t+1/9)",
+        "(1/5*t+1/2)/(t^2+6*t+47/5)",
+        "(-2/9*t^2+8/9*t-8/9)/(t-1)",
+        "(-4*t-4)/(t-2)",
+        "(-1/3*t^2+t-2)/(t^2-9)",
+        "(4*t+6)/(t)",
+        "(1/6*t+4/3)/(t-1)",
+        "(5*t^4+3*t^3-6*t^2-4*t+8)/(t^3-3*t^2+2*t)",
+        "(-1/3*t^3+16/3*t^2-47/3*t+20/3)/(t^3-4*t^2+5*t-2)",
+        "(t^2+5*t-8)/(t+1)",
+        "(-1/3*t^2+t+4)/(t^2-3*t)",
+        "(t+2)/(t-2)",
+        "(-1/3*t+5)/(t-3)",
+        "(-6*t^2-12*t+4)/(t^2+2*t)",
+        "-3/2*t^2+7/2*t-7/3",
+    ],
+    "scale:3/2": [
+        "t",
+        "-3/4",
+        "(1/2*t^2-1/2)/(t+3/2)",
+        "2/7*t^3-5/3*t+4",
+        "(1/9)/(t^2+2/3*t+1/9)",
+        "(8/135*t-32/3645)/(t^2+128/3645)",
+        "(-8/81*t^2)/(t+9/4)",
+        "(-5/4*t^2+1/2*t-8)/(t-2)",
+        "(-1/3*t^2+1/2*t-3)/(t^2+3*t-18)",
+        "(4*t+6)/(t)",
+        "(1/6*t+9/4)/(t)",
+        "(25/4*t^4-299/36*t^3+49/18*t^2)/(t^3-35/9*t^2+14/3*t-16/9)",
+        "(-1/3*t^3+13/2*t^2-27/2*t-27/2)/(t^3-3/2*t^2)",
+        "(9/4*t^2+17/4*t-10)/(t+1)",
+        "(-1/3*t^2+1/2*t+21/2)/(t^2-3/2*t-9/2)",
+        "(t+2)/(t-2)",
+        "(-1/3*t+7)/(t-3)",
+        "(-6*t+10/9)/(t)",
+        "-2/3*t^2+1/3*t-1/3",
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_GOLDEN_STR))
+def test_ratfunc_str_golden(spec):
+    if spec == "shift":
+        ctx = RationalFunctionCtx("shift")
+    else:
+        ctx = RationalFunctionCtx("scale", scale=Fraction(3, 2))
+    elems = _golden_elems(ctx)
+    for x in elems:
+        _assert_canonical(x)
+    assert [str(x) for x in elems] == _GOLDEN_STR[spec]
