@@ -16,6 +16,7 @@ from .decompose import (
     Certificate,
     bracket_preimage,
     bracket_preimage_term,
+    certificate_problem,
     decompose,
     factor_avoiding_multiples,
     factor_into_l_pair,
@@ -39,6 +40,7 @@ __all__ = [
     "UnsupportedOrder",
     "bracket_preimage",
     "bracket_preimage_term",
+    "certificate_problem",
     "commutator",
     "conjugate",
     "decompose",

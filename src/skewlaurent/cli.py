@@ -28,7 +28,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .decompose import Certificate, decompose, verify_certificate
+from .decompose import Certificate, certificate_problem, decompose
 from .errors import (
     ExponentBeyondPrecision,
     FieldSpecError,
@@ -42,6 +42,8 @@ from .reduced_trace import reduced_trace
 from .skew_series import SkewSeries, commutator, from_terms, term, zero
 
 _DEFAULT_PREC = 32
+# Largest coefficient window (prec - val) a parsed series may have.
+_MAX_WIDTH = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +315,20 @@ class _Parser:
             return self._xpow(), coef
         return 0, coef
 
+    def _check_width(self, val, prec):
+        if prec - val > _MAX_WIDTH:
+            raise SeriesSyntaxError(
+                f"window x^{val} .. O(x^{prec}) is wider than {_MAX_WIDTH} coefficients"
+            )
+
     def _assemble(self, terms, cap):
-        if cap is None:
-            if not terms:
-                raise SeriesSyntaxError("empty series")
-            cap = min(e for e, _ in terms) + self.relprec
+        if terms:
+            val = min(e for e, _ in terms)
+            if cap is None:
+                cap = val + self.relprec
+            self._check_width(val, cap)
+        elif cap is None:
+            raise SeriesSyntaxError("empty series")
         try:
             return from_terms(self.ctx, terms, cap)
         except ExponentBeyondPrecision as exc:
@@ -374,6 +385,8 @@ class _Parser:
                 return zero(self.ctx, self._big_oh())
             if tok.text == "x":
                 e = self._xpow()
+                if self.relprec > _MAX_WIDTH:
+                    self._check_width(e, e + self.relprec)
                 return term(self.ctx, self.ctx.one(), e, e + self.relprec)
         if tok.kind == "op" and tok.text == "(" and self._paren_holds_series():
             self.i += 1
@@ -385,6 +398,8 @@ class _Parser:
 
     def _assemble_atom(self, exp, coef):
         prec = exp + self.relprec
+        if self.relprec > _MAX_WIDTH:  # an atom's window is relprec wide
+            self._check_width(exp, prec)
         return from_terms(self.ctx, [(exp, coef)], prec)
 
     def _paren_holds_series(self):
@@ -524,10 +539,11 @@ def _cmd_verify(args):
         with open(args.certificate, "r", encoding="utf-8") as fh:
             text = fh.read()
     cert = certificate_from_json(text)
-    if verify_certificate(cert):
+    problem = certificate_problem(cert)
+    if problem is None:
         print(f"valid: {cert.method} certificate at O(x^{cert.check_prec})")
         return 0
-    print("invalid: commutator product does not reproduce the input")
+    print(f"invalid: {problem}")
     return 1
 
 

@@ -35,12 +35,11 @@ from .errors import (
     K1Input,
     K1Leading,
     NoSplit,
-    PrecisionExceeded,
     UnsupportedOrder,
     WitnessFixed,
     ZeroInput,
 )
-from .field_tower import kernel_from_columns
+from .linalg import kernel_from_columns
 from .skew_series import SkewSeries, commutator, conjugate, term, zero
 
 _CONJ_SEED = "conjugator-search"
@@ -70,32 +69,44 @@ class Certificate:
         return self.input.ctx
 
 
-def verify_certificate(cert):
-    """Re-multiply the commutators and compare against the input.
+def certificate_problem(cert):
+    """Why cert fails to verify, as one line of text, or None when it verifies.
 
-    Returns False when the witnesses do not reproduce the input below
-    check_prec, or when they are too imprecise to be checked at all.
-    A certificate must claim exactly the input's precision (a lower claim
-    can make the comparison vacuous) and name one of the known METHODS.
-    Mixing coefficient fields raises FieldMismatch.
+    A certificate must name one of the known METHODS, claim exactly the
+    input's precision (a lower claim can make the comparison vacuous),
+    hold two pairs, and multiply back out to the input at every exponent
+    below check_prec; the first differing exponent is named.  Mixing
+    coefficient fields raises FieldMismatch.
     """
     f = cert.input
-    if cert.method not in METHODS or cert.check_prec != f.prec:
-        return False
+    if cert.method not in METHODS:
+        return f"unknown method {cert.method!r}"
+    if cert.check_prec != f.prec:
+        return f"claimed precision O(x^{cert.check_prec}) is not the input's O(x^{f.prec})"
     if len(cert.pairs) != 2:
-        return False
+        return f"expected 2 commutator pairs, found {len(cert.pairs)}"
     brackets = []
     for b, w in cert.pairs:
         f._check_ctx(b)
         f._check_ctx(w)
         brackets.append(commutator(b, w))
     prod = brackets[0] * brackets[1]
-    if prod.prec < cert.check_prec or f.prec < cert.check_prec:
-        return False
-    try:
-        return prod.eq_to_prec(f, cert.check_prec)
-    except PrecisionExceeded:
-        return False
+    if prod.prec < cert.check_prec:
+        return (
+            f"commutator product is known only to O(x^{prod.prec}), "
+            f"below the claimed O(x^{cert.check_prec})"
+        )
+    if prod.eq_to_prec(f, cert.check_prec):
+        return None
+    first = next(
+        e for e in range(min(prod.val, f.val), cert.check_prec) if prod._coeff(e) != f._coeff(e)
+    )
+    return f"commutator product does not reproduce the input: first difference at x^{first}"
+
+
+def verify_certificate(cert):
+    """True when certificate_problem(cert) finds nothing wrong."""
+    return certificate_problem(cert) is None
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +342,25 @@ def factor_with_l_coeffs(f):
     l_basis = o4.l_basis
     bs = [a0] + [ctx.zero()] * (width - 1)  # coefficients of f1 at x^(s+t)
     cps = [b0] + [ctx.zero()] * (width - 1)  # cps[t] = sigma^s(coeff of f2 at x^t)
-    col_cache = {}
+    solvers = {}  # t mod 4 -> solver for that step's columns
     for t in range(1, width):
         acc = f.coeffs[t]
         for r in range(1, t):
             if bs[r] and cps[t - r]:
                 acc = acc - bs[r] * ctx.sigma(cps[t - r], r)
         tm = t % 4
-        cols = col_cache.get(tm)
-        if cols is None:
+        solve = solvers.get(tm)
+        if solve is None:
             sb0 = ctx.sigma(b0, tm)
             cols = [ctx.k0_vec(a0 * l) for l in l_basis] + [
                 ctx.k0_vec(l * sb0) for l in l_basis
             ]
-            col_cache[tm] = cols
-        sol = ctx.solve_k0_linear(cols, ctx.k0_vec(acc))
+            solve = solvers[tm] = ctx.k0_solver(cols)
+        sol = solve(ctx.k0_vec(acc))
         if sol is None:
             raise DecompositionError("L-pair independence failed mid-factorisation")
-        cp = ctx.zero()
-        bt = ctx.zero()
-        for j in range(3):
-            cp = cp + ctx.k0_scalar_to_elem(sol[j]) * l_basis[j]
-            bt = bt + ctx.k0_scalar_to_elem(sol[3 + j]) * l_basis[j]
-        cps[t] = cp
-        bs[t] = bt
+        cps[t] = o4.from_l_coords(sol[:3])
+        bs[t] = o4.from_l_coords(sol[3:])
     f1 = SkewSeries(ctx, s, bs, prec)
     f2 = SkewSeries(ctx, 0, [ctx.sigma(c, -s) for c in cps], prec - s)
     return f1, f2

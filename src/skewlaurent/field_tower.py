@@ -9,23 +9,29 @@ Two concrete families are provided:
   scaling t -> q*t for a rational q outside {0, 1, -1}.  Both have
   infinite order and fixed field Q.
 
-Elements are exact: packed base-p integers for finite fields (with
-exp/log/Zech tables when the field is small enough), and for Q(t) a pair
-n/d of integer-coefficient polynomials, coprime over Q[t], with joint
-integer content 1 and a positive leading coefficient of d.  Q(t)
-arithmetic is fraction-free: gcds over Z[t] run a primitive
+Elements are exact.  A finite-field element is a packed int.  Fields of
+at most _TABLE_LIMIT elements pack the coefficients in base p and
+compute on exp/log/Zech tables.  Larger fields use the packed
+polynomial arithmetic of ``packed``: coefficients one per bit (p = 2)
+or one per byte-aligned slot (odd p), big-int products, extended-Euclid
+inverses, and sigma^j as a precomputed GF(p)-linear map.  A Q(t)
+element is a pair n/d of integer-coefficient polynomials, coprime over
+Q[t], with joint integer content 1 and a positive leading coefficient
+of d.  Q(t) arithmetic is fraction-free: gcds over Z[t] run a primitive
 pseudo-remainder sequence and each result is normalised once.
 
-The module also hosts the exact k0-linear algebra (Gaussian elimination
-over k0) and the order-4 subspace context used by the decomposition
-engine: the image L of sigma - 1, the line k1 = {z : sigma(z) = -z} and
-the plane k2 = {z : sigma^2(z) = -z}.
+The finite-field context also does k0-linear algebra, over k0 = GF(p^d)
+as small ints (see ``linalg``), and the module hosts the order-4
+subspace context used by the decomposition engine: the image L of
+sigma - 1, the line k1 = {z : sigma(z) = -z} and the plane
+k2 = {z : sigma^2(z) = -z}.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
@@ -41,6 +47,18 @@ from .errors import (
     UnsupportedOrder,
     ZeroNotInvertible,
 )
+from .linalg import (
+    K0Maps,
+    ModPScalars,
+    ZechScalars,
+    dot,
+    invert_matrix,
+    kernel_from_columns,
+    particular_solver,
+    rank_of_vectors,
+    solve_from_columns,
+)
+from .packed import PackedGF2, PackedOddField
 
 _TABLE_LIMIT = 1 << 16
 _WITNESS_SEED = "normal-basis-search"
@@ -105,15 +123,6 @@ def _ppowmod(a, e, mod, p):
     return out
 
 
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple(c * inv % p for c in a)
-    return a
-
-
 def _is_prime(n):
     if n < 2:
         return False
@@ -140,18 +149,30 @@ def _prime_factors(n):
 
 
 def _is_irreducible(mod, p):
-    """Rabin's test for a monic polynomial over GF(p)."""
+    """Rabin's test for a monic polynomial f over GF(p).
+
+    f of degree m is irreducible iff x^(p^m) = x mod f and x^(p^(m/r)) - x
+    is a unit mod f for every prime r dividing m.  The powers and the
+    unit test (an extended Euclidean inverse) run in the packed
+    arithmetic of GF(p)[x]/(f), which needs no irreducibility.
+    """
     m = len(mod) - 1
     if m < 1:
         return False
-    x = (0, 1)
-    for r in _prime_factors(m):
-        h = _ppowmod(x, p ** (m // r), mod, p)
-        h = _padd(h, tuple(-c % p for c in x), p)
-        if len(_pgcd(h, mod, p)) > 1:
-            return False
-    h = _ppowmod(x, p**m, mod, p)
-    return h == x
+    if m == 1:
+        return True
+    kern = PackedGF2(m, mod, 1) if p == 2 else PackedOddField(p, m, mod)
+    frob = [kern.x]  # frob[i] = x^(p^i) mod f
+    for _ in range(m):
+        frob.append(kern.pow(frob[-1], p))
+    if frob[m] != kern.x:
+        return False
+    try:
+        for r in _prime_factors(m):
+            kern.inv(kern.add(frob[m // r], kern.neg(kern.x)))
+    except ZeroNotInvertible:
+        return False
+    return True
 
 
 def _search_irreducible(p, m):
@@ -191,154 +212,6 @@ def default_modulus(p, m):
     if poly is None:
         poly = _search_irreducible(p, m)
     return poly
-
-
-# ---------------------------------------------------------------------------
-# exact Gaussian elimination, generic over a small scalar-field adapter
-
-
-class _ModPScalars:
-    """GF(p) scalars as plain ints."""
-
-    __slots__ = ("p", "zero", "one")
-
-    def __init__(self, p):
-        self.p = p
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a == 0
-
-
-class _ElemScalars:
-    """Field elements of a ctx used as scalars (k0 elements embedded in k)."""
-
-    __slots__ = ("zero", "one")
-
-    def __init__(self, ctx):
-        self.zero = ctx.zero()
-        self.one = ctx.one()
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return a.inverse()
-
-    def is_zero(self, a):
-        return not a
-
-
-def _rref(rows, scalars):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        pr = None
-        for i in range(r, len(rows)):
-            if not scalars.is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = scalars.inv(rows[r][c])
-        rows[r] = [scalars.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not scalars.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [scalars.sub(v, scalars.mul(f, w)) for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def solve_from_columns(columns, rhs, scalars):
-    """Particular solution x of sum_j x[j]*columns[j] = rhs (free vars zero), or None."""
-    k = len(columns)
-    rows = [[col[i] for col in columns] + [rhs[i]] for i in range(len(rhs))]
-    red, pivots = _rref(rows, scalars)
-    if k in pivots:
-        return None
-    x = [scalars.zero] * k
-    for row, c in zip(red, pivots):
-        x[c] = row[k]
-    return x
-
-
-def kernel_from_columns(columns, scalars):
-    """Echelon basis of {x : sum_j x[j]*columns[j] = 0}."""
-    k = len(columns)
-    if k == 0:
-        return []
-    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    red, pivots = _rref(rows, scalars)
-    basis = []
-    for f in range(k):
-        if f in pivots:
-            continue
-        v = [scalars.zero] * k
-        v[f] = scalars.one
-        for row, c in zip(red, pivots):
-            v[c] = scalars.neg(row[f])
-        basis.append(v)
-    return basis
-
-
-def rank_of_vectors(vectors, scalars):
-    if not vectors:
-        return 0
-    return len(_rref(vectors, scalars)[1])
-
-
-def invert_matrix(rows, scalars):
-    """Inverse of a square matrix given as a list of rows."""
-    n = len(rows)
-    aug = [
-        list(r) + [scalars.one if i == j else scalars.zero for j in range(n)]
-        for i, r in enumerate(rows)
-    ]
-    red, pivots = _rref(aug, scalars)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
-
-
-def _dot(row, vec, scalars):
-    acc = scalars.zero
-    for a, b in zip(row, vec):
-        acc = scalars.add(acc, scalars.mul(a, b))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +285,14 @@ class FieldCtx:
     def k0_scalar_to_elem(self, c):
         raise InfiniteOrder("k0-linear algebra requires finite sigma order")
 
+    def _k0_tables(self, basis):
+        """Lookup tables for _k0_combine over basis (plain data)."""
+        raise InfiniteOrder("k0-linear algebra requires finite sigma order")
+
+    def _k0_combine(self, tables, coeffs):
+        """sum_j coeffs[j]*basis[j] for k0 scalars coeffs, basis as in tables."""
+        raise InfiniteOrder("k0-linear algebra requires finite sigma order")
+
     def coords(self, a, basis):
         """Coordinates of a against a k0-independent basis, or NotInSpan."""
         scalars = self.k0_scalars()
@@ -425,6 +306,10 @@ class FieldCtx:
         """Particular solution over k0 (free variables zero), or None."""
         return solve_from_columns(columns, rhs, self.k0_scalars())
 
+    def k0_solver(self, columns):
+        """solve_k0_linear for fixed columns, as a function of rhs."""
+        return particular_solver(columns, self.k0_scalars())
+
     def k0_span_dim(self, elems):
         return rank_of_vectors([self.k0_vec(a) for a in elems], self.k0_scalars())
 
@@ -433,18 +318,17 @@ class FieldCtx:
 
     def sigma_minus_one_preimage(self, c):
         """Some z with sigma(z) - z = c, free coordinates pinned to zero."""
-        basis = self.k0_vec_basis()
-        cols = getattr(self, "_sig_minus_one_cols", None)
-        if cols is None:
+        cached = getattr(self, "_sig_minus_one", None)
+        if cached is None:
+            basis = self.k0_vec_basis()
             cols = [self.k0_vec(self.sigma(b, 1) - b) for b in basis]
-            self._sig_minus_one_cols = cols
-        sol = solve_from_columns(cols, self.k0_vec(c), self.k0_scalars())
+            cached = (self.k0_solver(cols), self._k0_tables(basis))
+            self._sig_minus_one = cached
+        solve, tables = cached
+        sol = solve(self.k0_vec(c))
         if sol is None:
             raise NotInL("element is not in the image of sigma - 1")
-        z = self.zero()
-        for ci, bi in zip(sol, basis):
-            z = z + self.k0_scalar_to_elem(ci) * bi
-        return z
+        return self._k0_combine(tables, sol)
 
     def build_order4_ctx(self):
         if self.sigma_order is None:
@@ -465,7 +349,7 @@ class FieldCtx:
 
 
 class FFElem:
-    """Element of GF(p^m), stored as a packed base-p integer."""
+    """Element of GF(p^m), stored as a packed int (see FiniteFieldCtx)."""
 
     __slots__ = ("ctx", "value")
 
@@ -553,10 +437,21 @@ class FFElem:
 class FiniteFieldCtx(FieldCtx):
     """GF(p^m) with sigma = Frobenius^e.
 
-    Arithmetic uses exp/log and Zech-logarithm tables (plus per-power
-    sigma permutation tables) when p^m is small; otherwise it falls back
-    to polynomial arithmetic modulo the defining polynomial, with sigma
-    applied as a precomputed GF(p)-linear matrix.
+    Up to _TABLE_LIMIT elements, arithmetic uses exp/log and Zech-logarithm
+    tables, with one sigma permutation table per power, and an element is
+    its base-p packed coefficient vector.  Larger fields bind the
+    operations of a packed polynomial backend once, at construction:
+    ``PackedGF2`` (bit-packed, XOR sums, shift-XOR products) for p = 2 and
+    ``PackedOddField`` (Kronecker-packed) for odd p.  Both invert by the
+    extended Euclidean algorithm and apply sigma^j as a precomputed
+    GF(p)-linear map on the coefficients.
+
+    The k0-linear algebra runs over k0 = GF(p^d), d = gcd(m, e), as small
+    ints: residues mod p when d = 1, ``ZechScalars`` otherwise, where the
+    int with base-p digits c_0, ..., c_(d-1) stands for sum_j c_j*beta_j
+    over the GF(p)-basis beta of k0 that also orders k0_scalar_elements().
+    k0_vec and the order-4 coordinates are each one precomputed GF(p)
+    matrix applied to the coefficients (``K0Maps``).
     """
 
     def __init__(self, p, m, frob_power=1, modulus=None):
@@ -593,14 +488,18 @@ class FiniteFieldCtx(FieldCtx):
         self._log = None
         self._zech = None
         self._sig_tabs = None
-        self._sig_mats = None
-        self._moore = None
+        self._sig_maps = None
+        self._gen_value = p
+        self._k0 = None
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
         else:
-            self._build_sigma_matrices()
+            self._bind_packed_backend()
 
     # -- representation helpers ------------------------------------------
+    #
+    # The table backend packs coefficients in base p; the packed backend
+    # binds its own _digits, _pack and _from_base_p over these.
 
     def _digits(self, v):
         out = []
@@ -613,6 +512,9 @@ class FiniteFieldCtx(FieldCtx):
         v = 0
         for d in reversed(tuple(ds)):
             v = v * self.p + d % self.p
+        return v
+
+    def _from_base_p(self, v):
         return v
 
     def _build_tables(self):
@@ -655,62 +557,57 @@ class FiniteFieldCtx(FieldCtx):
             tabs.append(tab)
         self._sig_tabs = tabs
 
-    def _build_sigma_matrices(self):
-        p, mod, m = self.p, self.modulus, self.m
-        base = _ppowmod((0, 1), p**self.e, mod, p)
-        cols = []
-        img = (1,)
-        for _ in range(m):
-            cols.append(tuple(img) + (0,) * (m - len(img)))
-            img = _pmulmod(img, base, mod, p)
-        mat1 = [[cols[c][r] for c in range(m)] for r in range(m)]
-        mats = [[[1 if r == c else 0 for c in range(m)] for r in range(m)]]
-        cur = mats[0]
-        for _ in range(1, self.sigma_order):
-            cur = [
-                [sum(mat1[r][k] * cur[k][c] for k in range(m)) % p for c in range(m)]
-                for r in range(m)
-            ]
-            mats.append(cur)
-        self._sig_mats = mats
+    def _bind_packed_backend(self):
+        p, m = self.p, self.m
+        if p == 2:
+            kern = PackedGF2(m, self.modulus, self.sigma_order)
+        else:
+            kern = PackedOddField(p, m, self.modulus)
+        self._add, self._neg, self._mul, self._inv = kern.add, kern.neg, kern.mul, kern.inv
+        self._pow = kern.pow
+        self._digits, self._pack, self._from_base_p = kern.digits, kern.pack, kern.from_base_p
+        self._gen_value = kern.x
+        # sigma(x^i) = x^(i*p^e): the images of the basis under sigma^j
+        step = kern.pow(self._gen_value, p**self.e)
+        images = [1]
+        for _ in range(m - 1):
+            images.append(self._mul(images[-1], step))
+        sig1 = kern.linear(images)
+        maps = [None, sig1]
+        for _ in range(2, self.sigma_order):
+            images = [sig1(v) for v in images]
+            maps.append(kern.linear(images))
+        self._sig_maps = maps
 
     # -- packed arithmetic -------------------------------------------------
+    #
+    # These are the table backend's; the packed backend binds its own.
 
     def _add(self, a, b):
         if a == 0:
             return b
         if b == 0:
             return a
-        if self._log is not None:
-            la, lb = self._log[a], self._log[b]
-            z = self._zech[(lb - la) % self._qm1]
-            if z < 0:
-                return 0
-            return self._exp[(la + z) % self._qm1]
-        s = _padd(self._digits(a), self._digits(b), self.p)
-        return self._pack(s + (0,) * (self.m - len(s)))
+        la, lb = self._log[a], self._log[b]
+        z = self._zech[(lb - la) % self._qm1]
+        if z < 0:
+            return 0
+        return self._exp[(la + z) % self._qm1]
 
     def _neg(self, a):
         if a == 0:
             return 0
-        if self._log is not None:
-            return self._exp[(self._log[a] + self._neg_log) % self._qm1]
-        return self._pack(tuple(-d % self.p for d in self._digits(a)))
+        return self._exp[(self._log[a] + self._neg_log) % self._qm1]
 
     def _mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return self._exp[(self._log[a] + self._log[b]) % self._qm1]
-        prod = _pmulmod(_ptrim(self._digits(a)), _ptrim(self._digits(b)), self.modulus, self.p)
-        return self._pack(prod + (0,) * (self.m - len(prod)))
+        return self._exp[(self._log[a] + self._log[b]) % self._qm1]
 
     def _inv(self, a):
         if a == 0:
             raise ZeroNotInvertible("0 has no inverse")
-        if self._log is not None:
-            return self._exp[-self._log[a] % self._qm1]
-        return self._pow(a, self._qm1 - 1)
+        return self._exp[-self._log[a] % self._qm1]
 
     def _pow(self, a, k):
         if a == 0:
@@ -719,16 +616,7 @@ class FiniteFieldCtx(FieldCtx):
             if k == 0:
                 return 1
             raise ZeroNotInvertible("0 has no negative powers")
-        if self._log is not None:
-            return self._exp[(self._log[a] * k) % self._qm1]
-        k %= self._qm1
-        out, base = (1,), _ptrim(self._digits(a))
-        while k:
-            if k & 1:
-                out = _pmulmod(out, base, self.modulus, self.p)
-            base = _pmulmod(base, base, self.modulus, self.p)
-            k >>= 1
-        return self._pack(out + (0,) * (self.m - len(out)))
+        return self._exp[(self._log[a] * k) % self._qm1]
 
     def sigma(self, a, i=1):
         j = i % self.sigma_order
@@ -736,13 +624,7 @@ class FiniteFieldCtx(FieldCtx):
             return a
         if self._sig_tabs is not None:
             return FFElem(self, self._sig_tabs[j][a.value])
-        mat = self._sig_mats[j]
-        ds = self._digits(a.value)
-        out = tuple(sum(row[c] * ds[c] for c in range(self.m)) % self.p for row in mat)
-        return self._pack_elem(out)
-
-    def _pack_elem(self, ds):
-        return FFElem(self, self._pack(ds))
+        return FFElem(self, self._sig_maps[j](a.value))
 
     # -- constructors ------------------------------------------------------
 
@@ -757,7 +639,7 @@ class FiniteFieldCtx(FieldCtx):
 
     def gen(self):
         """The residue of the generator polynomial (printed as g)."""
-        return FFElem(self, self.p % self.q)
+        return FFElem(self, self._gen_value)
 
     def elem(self, coeffs):
         """Element from GF(p) coefficients of 1, g, g^2, ..."""
@@ -768,35 +650,11 @@ class FiniteFieldCtx(FieldCtx):
         return FFElem(self, self._pack(ds))
 
     def elements(self):
-        return (FFElem(self, v) for v in range(self.q))
+        """Every element, the i-th having the base-p digits of i as coefficients."""
+        return (FFElem(self, self._from_base_p(v)) for v in range(self.q))
 
     def random_elem(self, rng):
-        return FFElem(self, rng.randrange(self.q))
-
-    def k0_scalar_elements(self):
-        """All scalars of k0, in a fixed order, as k0_scalars() values."""
-        cached = getattr(self, "_k0_scalar_elems", None)
-        if cached is not None:
-            return cached
-        if self.subfield_degree == 1:
-            out = list(range(self.p))
-        else:
-            # k0 = Fix(sigma): kernel of sigma - 1 as a GF(p)-linear map
-            mod_p = _ModPScalars(self.p)
-            cols = []
-            for i in range(self.m):
-                b = FFElem(self, self.p**i)
-                cols.append(self._digits((self.sigma(b, 1) - b).value))
-            kb = kernel_from_columns(cols, mod_p)
-            out = []
-            for combo in itertools.product(range(self.p), repeat=len(kb)):
-                ds = [0] * self.m
-                for c, vec in zip(combo, kb):
-                    for idx, d in enumerate(vec):
-                        ds[idx] = (ds[idx] + c * d) % self.p
-                out.append(FFElem(self, self._pack(ds)))
-        self._k0_scalar_elems = out
-        return out
+        return FFElem(self, self._from_base_p(rng.randrange(self.q)))
 
     @property
     def characteristic(self):
@@ -835,59 +693,149 @@ class FiniteFieldCtx(FieldCtx):
     def sigma_spec(self):
         return "frob" if self.frob_power == 1 else f"frob^{self.frob_power}"
 
+    # -- k0 = Fix(sigma) -----------------------------------------------------
+
+    def _k0_values(self):
+        """Every element of k0 as a packed value, the k0 scalar c at position c.
+
+        Position c = sum_j c_j*p^j holds sum_j c_j*beta_j, where
+        beta_(d-1), ..., beta_0 is the echelon basis of the kernel of
+        sigma - 1 as a GF(p)-linear map.  (Contexts cache plain values,
+        never elements, so that a dropped context is freed at once.)
+        """
+        cached = getattr(self, "_k0_value_list", None)
+        if cached is not None:
+            return cached
+        if self.subfield_degree == 1:
+            out = list(range(self.p))
+        else:
+            mod_p = ModPScalars(self.p)
+            cols = []
+            for i in range(self.m):
+                b = self.elem([0] * i + [1])
+                cols.append(self._digits((self.sigma(b, 1) - b).value))
+            kb = kernel_from_columns(cols, mod_p)
+            out = []
+            for combo in itertools.product(range(self.p), repeat=len(kb)):
+                ds = [0] * self.m
+                for c, vec in zip(combo, kb):
+                    for idx, d in enumerate(vec):
+                        ds[idx] = (ds[idx] + c * d) % self.p
+                out.append(self._pack(ds))
+        self._k0_value_list = out
+        return out
+
+    def _k0_basis(self):
+        """beta_0, ..., beta_(d-1): the k0 elements standing for 1, p, p^2, ..."""
+        values = self._k0_values()
+        return [FFElem(self, values[self.p**j]) for j in range(self.subfield_degree)]
+
+    def k0_scalar_elements(self):
+        """All scalars of k0, in a fixed order, as k0_scalars() values."""
+        return list(range(len(self._k0_values())))
+
+    def _k0_setup(self):
+        """The K0Maps behind k0_vec, k0_scalars and Order4Ctx, built once.
+
+        For d > 1, k0_vec inverts the GF(p)-linear map that takes the
+        digits c_(i*d+j) to sum c_(i*d+j)*beta_j*sigma^i(y), y the
+        normal-basis element, and the scalar tables come from a generator
+        of the multiplicative group of k0.
+        """
+        if self._k0 is not None:
+            return self._k0
+        p, d = self.p, self.subfield_degree
+        k0 = K0Maps(p, self.m, d)
+        if d == 1:
+            k0.scalars = ModPScalars(p)
+        else:
+            elems = self._k0_values()
+            pos = {v: c for c, v in enumerate(elems)}
+            for g in elems[1:]:
+                powers = [1]
+                cur = g
+                while cur != 1:
+                    powers.append(cur)
+                    cur = self._mul(cur, g)
+                if len(powers) == len(elems) - 1:
+                    break
+            log = {v: i for i, v in enumerate(powers)}
+            zech = [log.get(self._add(1, v), -1) for v in powers]
+            k0.scalars = ZechScalars(p, [pos[v] for v in powers], zech)
+            y = self._normal_basis_elem()
+            cols = [
+                self._digits((b * self.sigma(y, i)).value)
+                for i in range(self.sigma_order)
+                for b in self._k0_basis()
+            ]
+            inv = invert_matrix(list(zip(*cols)), ModPScalars(p))
+            k0.vec_cols = k0.pack_columns(list(zip(*inv)))
+        self._k0 = k0
+        return k0
+
+    def _k0_linear(self, fn):
+        """Packed columns of a GF(p)-linear map fn from k to tuples of k0 scalars."""
+        k0 = self._k0_setup()
+        images = [fn(self.elem([0] * k + [1])) for k in range(self.m)]
+        return k0.pack_columns([k0.ungroup(out) for out in images])
+
+    def _k0_apply(self, cols, a):
+        """The map with packed columns cols at a, as a tuple of k0 scalars."""
+        return self._k0_setup().apply(cols, self._digits(a.value))
+
     # -- witnesses and k0 vectorisation ------------------------------------
 
     def _normal_basis_elem(self):
-        cached = getattr(self, "_normal_elem", None)
+        cached = getattr(self, "_normal_value", None)
         if cached is not None:
-            return cached
+            return FFElem(self, cached)
         n = self.sigma_order
         rng = random.Random(f"{_WITNESS_SEED}:{self.field_spec()}:{self.sigma_spec()}")
-        scalars = _ElemScalars(self)
+        beta = self._k0_basis()
+        mod_p = ModPScalars(self.p)
         for _ in range(256):
             y = self.random_elem(rng)
             if not y:
                 continue
-            conj = [self.sigma(y, j) for j in range(n)]
-            rows = [[self.sigma(c, j) for c in conj] for j in range(n)]
-            if rank_of_vectors(rows, scalars) == n:
-                self._normal_elem = y
+            # y is normal iff its conjugates are k0-independent, iff the
+            # beta_j*sigma^i(y) are GF(p)-independent
+            vecs = [
+                self._digits((b * self.sigma(y, i)).value) for i in range(n) for b in beta
+            ]
+            if rank_of_vectors(vecs, mod_p) == self.m:
+                self._normal_value = y.value
                 return y
         raise NoWitness("normal basis search exhausted its retry budget")
 
     def k0_vec(self, a):
         if self.subfield_degree == 1:
             return self._digits(a.value)
-        moore = self._k0_moore()
-        basis, inv_rows, scalars = moore
-        rhs = [self.sigma(a, j) for j in range(self.sigma_order)]
-        return tuple(_dot(row, rhs, scalars) for row in inv_rows)
-
-    def _k0_moore(self):
-        if self._moore is None:
-            n = self.sigma_order
-            y = self._normal_basis_elem()
-            basis = [self.sigma(y, i) for i in range(n)]
-            rows = [[self.sigma(b, j) for b in basis] for j in range(n)]
-            scalars = _ElemScalars(self)
-            inv_rows = invert_matrix(rows, scalars)
-            self._moore = (basis, inv_rows, scalars)
-        return self._moore
+        k0 = self._k0_setup()
+        return k0.apply(k0.vec_cols, self._digits(a.value))
 
     def k0_scalars(self):
-        if self.subfield_degree == 1:
-            return _ModPScalars(self.p)
-        return _ElemScalars(self)
+        return self._k0_setup().scalars
 
     def k0_vec_basis(self):
         if self.subfield_degree == 1:
-            return [FFElem(self, self.p**i) for i in range(self.m)]
-        return list(self._k0_moore()[0])
+            return [self.elem([0] * i + [1]) for i in range(self.m)]
+        y = self._normal_basis_elem()
+        return [self.sigma(y, i) for i in range(self.sigma_order)]
 
     def k0_scalar_to_elem(self, c):
-        if isinstance(c, FFElem):
-            return c
-        return self.from_int(c)
+        if self.subfield_degree == 1:
+            return self.from_int(c)
+        return FFElem(self, self._k0_values()[c])
+
+    def _k0_tables(self, basis):
+        return [[self._mul(a, b.value) for a in self._k0_values()] for b in basis]
+
+    def _k0_combine(self, tables, coeffs):
+        add = self._add
+        v = 0
+        for tab, c in zip(tables, coeffs):
+            v = add(v, tab[c])
+        return FFElem(self, v)
 
 
 # ---------------------------------------------------------------------------
@@ -1309,32 +1257,75 @@ class Order4Ctx:
 
     Both k1 and k2 sit inside L, and k2 is closed under inversion of its
     nonzero elements.
+
+    The context caches this object, which holds the context only weakly
+    and its elements as packed values: a context without reference
+    cycles is freed as soon as it is dropped.  Keep the context alive
+    while using this object.
     """
 
     def __init__(self, ctx):
-        self.ctx = ctx
+        self._ctx = weakref.ref(ctx)
         y = ctx._normal_basis_elem()
         sy = ctx.sigma(y, 1)
         s2 = ctx.sigma(y, 2)
         s3 = ctx.sigma(y, 3)
-        self.y = y
-        self.l_basis = (y - sy, sy - s2, s2 - s3)
-        self.e1 = y - sy + s2 - s3
-        self.e2 = y - s2
-        self.k2_basis = (self.e2, ctx.sigma(self.e2, 1))
+        l_basis = (y - sy, sy - s2, s2 - s3)
+        e2 = y - s2
+        self._y = y.value
+        self._l_basis = tuple(b.value for b in l_basis)
+        self._e1 = (y - sy + s2 - s3).value
+        self._k2_basis = (e2.value, ctx.sigma(e2, 1).value)
+        self._l_tables = ctx._k0_tables(l_basis)
         scalars = ctx.k0_scalars()
-        full = list(self.l_basis) + [y]
+        full = list(l_basis) + [y]
         vecs = [ctx.k0_vec(b) for b in full]
         if len(vecs[0]) != 4:
             raise UnsupportedOrder(ctx.sigma_order, "order-4 context needs [k:k0] = 4")
         rows = [[vecs[j][i] for j in range(4)] for i in range(4)]
+        inv_rows = invert_matrix(rows, scalars)
         self._scalars = scalars
-        self._inv_rows = invert_matrix(rows, scalars)
+        # k0_vec followed by inv_rows, composed into one GF(p)-linear map
+        self._cols = ctx._k0_linear(
+            lambda a: tuple(dot(row, ctx.k0_vec(a), scalars) for row in inv_rows)
+        )
+
+    @property
+    def ctx(self):
+        ctx = self._ctx()
+        if ctx is None:
+            raise ReferenceError("the field context of this Order4Ctx has been freed")
+        return ctx
+
+    @property
+    def y(self):
+        return FFElem(self.ctx, self._y)
+
+    @property
+    def l_basis(self):
+        ctx = self.ctx
+        return tuple(FFElem(ctx, v) for v in self._l_basis)
+
+    @property
+    def e1(self):
+        return FFElem(self.ctx, self._e1)
+
+    @property
+    def e2(self):
+        return FFElem(self.ctx, self._k2_basis[0])
+
+    @property
+    def k2_basis(self):
+        ctx = self.ctx
+        return tuple(FFElem(ctx, v) for v in self._k2_basis)
+
+    def from_l_coords(self, coords):
+        """The element with coordinates coords (k0 scalars) against l_basis."""
+        return self.ctx._k0_combine(self._l_tables, coords)
 
     def full_coords(self, a):
         """Coordinates of a against (l_basis[0], l_basis[1], l_basis[2], y)."""
-        vec = self.ctx.k0_vec(a)
-        return tuple(_dot(row, vec, self._scalars) for row in self._inv_rows)
+        return self.ctx._k0_apply(self._cols, a)
 
     def in_l(self, a):
         return self._scalars.is_zero(self.full_coords(a)[3])

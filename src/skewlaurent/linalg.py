@@ -1,0 +1,242 @@
+"""Exact linear algebra over small finite fields.
+
+Gaussian elimination is generic over a scalar adapter (zero, one, add,
+sub, mul, neg, inv, is_zero): ``ModPScalars`` for GF(p) as residues and
+``ZechScalars`` for GF(p^d) as ints on exp/log/Zech tables.  ``K0Maps``
+holds GF(p)-linear maps from GF(p^m) to tuples of such scalars as packed
+columns.  The field contexts use these for the k0-linear algebra.
+"""
+
+from __future__ import annotations
+
+from operator import mul
+
+from .errors import ZeroNotInvertible
+from .packed import slot_codec
+
+
+class ModPScalars:
+    """GF(p) scalars as plain ints."""
+
+    __slots__ = ("p", "zero", "one")
+
+    def __init__(self, p):
+        self.p = p
+        self.zero = 0
+        self.one = 1
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def is_zero(self, a):
+        return a == 0
+
+
+class ZechScalars:
+    """GF(p^d) scalars as ints in [0, p^d), on exp/log/Zech tables.
+
+    ``exp[i]`` is the int standing for g^i, g a generator of the
+    multiplicative group, and ``zech[i]`` is the log of 1 + g^i (-1 when
+    that is 0).  The meaning of the ints is fixed by whoever builds the
+    tables; 0 always stands for 0 and ``one`` for 1.
+    """
+
+    __slots__ = ("zero", "one", "_exp", "_log", "_zech", "_qm1", "_neg_log")
+
+    def __init__(self, p, exp, zech):
+        qm1 = len(exp)
+        log = [0] * (qm1 + 1)
+        for i, v in enumerate(exp):
+            log[v] = i
+        self.zero = 0
+        self.one = exp[0]
+        self._exp, self._log, self._zech, self._qm1 = exp, log, zech, qm1
+        self._neg_log = 0 if p == 2 else qm1 // 2
+
+    def add(self, a, b):
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la, lb = self._log[a], self._log[b]
+        z = self._zech[(lb - la) % self._qm1]
+        if z < 0:
+            return 0
+        return self._exp[(la + z) % self._qm1]
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % self._qm1]
+
+    def neg(self, a):
+        if a == 0:
+            return 0
+        return self._exp[(self._log[a] + self._neg_log) % self._qm1]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroNotInvertible("0 has no inverse")
+        return self._exp[-self._log[a] % self._qm1]
+
+    def is_zero(self, a):
+        return a == 0
+
+
+def rref(rows, scalars):
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pr = None
+        for i in range(r, len(rows)):
+            if not scalars.is_zero(rows[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = scalars.inv(rows[r][c])
+        rows[r] = [scalars.mul(inv, v) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not scalars.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [scalars.sub(v, scalars.mul(f, w)) for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def solve_from_columns(columns, rhs, scalars):
+    """Particular solution x of sum_j x[j]*columns[j] = rhs (free vars zero), or None."""
+    return particular_solver(columns, scalars)(rhs)
+
+
+def particular_solver(columns, scalars):
+    """solve_from_columns for fixed (nonempty) columns, as a function of rhs.
+
+    Eliminating [columns | I] once records the row operations E; then
+    E*rhs holds the pivot values on top and, below them, entries that
+    all vanish exactly when the system is consistent.
+    """
+    k, n = len(columns), len(columns[0])
+    rows = [
+        [col[i] for col in columns] + [scalars.one if i == j else scalars.zero for j in range(n)]
+        for i in range(n)
+    ]
+    red, pivots = rref(rows, scalars)
+    pivots = [c for c in pivots if c < k]
+    ops = [row[k:] for row in red]
+    rank = len(pivots)
+
+    def solve(rhs):
+        out = [dot(row, rhs, scalars) for row in ops]
+        if not all(scalars.is_zero(v) for v in out[rank:]):
+            return None
+        x = [scalars.zero] * k
+        for c, v in zip(pivots, out):
+            x[c] = v
+        return x
+
+    return solve
+
+
+def kernel_from_columns(columns, scalars):
+    """Echelon basis of {x : sum_j x[j]*columns[j] = 0}."""
+    k = len(columns)
+    if k == 0:
+        return []
+    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
+    red, pivots = rref(rows, scalars)
+    basis = []
+    for f in range(k):
+        if f in pivots:
+            continue
+        v = [scalars.zero] * k
+        v[f] = scalars.one
+        for row, c in zip(red, pivots):
+            v[c] = scalars.neg(row[f])
+        basis.append(v)
+    return basis
+
+
+def rank_of_vectors(vectors, scalars):
+    if not vectors:
+        return 0
+    return len(rref(vectors, scalars)[1])
+
+
+def invert_matrix(rows, scalars):
+    """Inverse of a square matrix given as a list of rows."""
+    n = len(rows)
+    aug = [
+        list(r) + [scalars.one if i == j else scalars.zero for j in range(n)]
+        for i, r in enumerate(rows)
+    ]
+    red, pivots = rref(aug, scalars)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def dot(row, vec, scalars):
+    acc = scalars.zero
+    for a, b in zip(row, vec):
+        acc = scalars.add(acc, scalars.mul(a, b))
+    return acc
+
+
+class K0Maps:
+    """GF(p)-linear maps from k = GF(p^m) to tuples of k0 = GF(p^d) scalars.
+
+    A map is a list of m packed columns, the images of the basis
+    1, x, ..., x^(m-1); applying it to the digits of an element is one
+    big-int combination (see slot_codec).  An output holds m/d scalars,
+    scalar i having base-p digits i*d, ..., i*d + d - 1 of the combination.
+    ``scalars`` and ``vec_cols`` (the columns of k0_vec when d > 1) are set
+    by the owning context.
+    """
+
+    def __init__(self, p, m, d):
+        self.p, self.m, self.d = p, m, d
+        _, self._split, self._join = slot_codec(p, m)
+        self._pw = [p**j for j in range(d)]
+        self.scalars = None
+        self.vec_cols = None
+
+    def pack_columns(self, columns):
+        """Packed form of m columns, each m digits in [0, p)."""
+        return [self._join(col) for col in columns]
+
+    def ungroup(self, scalars):
+        """The m digits of a tuple of m/d k0 scalars."""
+        p = self.p
+        return [c // w % p for c in scalars for w in self._pw]
+
+    def apply(self, cols, digits):
+        ds = self._split(sum(map(mul, digits, cols)), self.m)
+        d = self.d
+        if d == 1:
+            return tuple(ds)
+        pw = self._pw
+        return tuple([sum(map(mul, ds[i : i + d], pw)) for i in range(0, self.m, d)])

@@ -290,16 +290,56 @@ def test_cli_verify_rejects_vacuous_certificates():
     assert code == 0
     obj = json.loads(out)
     assert obj["method"] == "Order4L"
+    genuine = json.loads(out)
     junk = {"val": 0, "prec": 1, "coeffs": ["1"]}
     obj["pairs"] = [[junk, junk], [junk, junk]]
     # a claimed precision at or below the input's valuation compares nothing
     obj["prec"] = -5
     code, out, _ = run_cli(["verify", "-"], stdin_text=json.dumps(obj))
     assert code == 1 and out.startswith("invalid")
+    assert out == "invalid: claimed precision O(x^-5) is not the input's O(x^10)\n"
     obj["method"] = "Bogus"
     obj["prec"] = -2
     code, out, _ = run_cli(["verify", "-"], stdin_text=json.dumps(obj))
     assert code == 1 and out.startswith("invalid")
+    assert out == "invalid: unknown method 'Bogus'\n"
+    # the right claim, but witnesses far too imprecise to back it
+    obj["method"], obj["prec"] = "Order4L", 10
+    code, out, _ = run_cli(["verify", "-"], stdin_text=json.dumps(obj))
+    assert code == 1
+    assert out.startswith("invalid: commutator product is known only to O(x^")
+    assert out.endswith(", below the claimed O(x^10)\n")
+    obj["pairs"] = genuine["pairs"][:1]
+    code, out, _ = run_cli(["verify", "-"], stdin_text=json.dumps(obj))
+    assert code == 1 and out == "invalid: expected 2 commutator pairs, found 1\n"
+    # one changed input coefficient is named by its exponent
+    tampered = json.loads(json.dumps(genuine))
+    tampered["input"]["coeffs"][3] = "g"  # the x^1 coefficient, 1 before
+    code, out, _ = run_cli(["verify", "-"], stdin_text=json.dumps(tampered))
+    assert code == 1
+    assert out == (
+        "invalid: commutator product does not reproduce the input: first difference at x^1\n"
+    )
+    code, out, _ = run_cli(["verify", "-"], stdin_text=json.dumps(genuine))
+    assert code == 0 and out == "valid: Order4L certificate at O(x^10)\n"
+
+
+def test_cli_rejects_windows_past_the_budget():
+    # an explicit O(x^k) far beyond the leading term, then a huge --prec
+    cases = [
+        ["decompose", "--field", "gf(2^5)", "--sigma", "frob", "x + O(x^300000000)"],
+        ["decompose", "--field", "gf(2^5)", "--sigma", "frob", "--prec", "300000000", "x"],
+        ["eval", "--field", "qt", "--sigma", "shift", "--prec", "300000000", "x^2"],
+        ["eval", "--field", "qt", "--sigma", "shift", "--prec", "300000000", "(t)*x^2"],
+    ]
+    for argv in cases:
+        code, out, err = run_cli(argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: window x^")
+        assert "wider than 65536 coefficients" in err
+    # the budget itself is allowed
+    code, _, _ = run_cli(["trace", "--field", "gf(3^4)", "--sigma", "frob", "x + O(x^65537)"])
+    assert code == 0
 
 
 def test_cli_exit_code_3_for_unsupported():

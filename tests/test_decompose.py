@@ -1,8 +1,16 @@
 """Decomposition engine: brackets, factorisations, dispatch, certificates."""
 
+import hashlib
 import random
 
 import pytest
+
+from skewlaurent.cli import (
+    build_ctx,
+    certificate_from_json,
+    certificate_to_json,
+    parse_series,
+)
 
 from skewlaurent.decompose import (
     Certificate,
@@ -384,3 +392,57 @@ def test_certificates_are_deterministic(gf34, qt_shift):
         c1 = decompose(f)
         c2 = decompose(f)
         assert c1 == c2
+
+
+# ---------------------------------------------------------------------------
+# golden certificates over large fields (q > 2^16, polynomial backend)
+
+_F20 = ("gf(2^20)", "frob")
+_F58 = ("gf(5^8);poly=3,2,1,0,0,0,0,0,1", "frob^2")
+_F312 = ("gf(3^12);poly=2,1,0,0,0,1,0,0,0,0,0,0,1", "frob^3")
+# (field, input, route, SHA-256 of certificate_to_json).  Both moduli of
+# the order-4 fields are primitive, so g^E lies in k1 = {z : sigma(z) = -z}
+# exactly when E = M/2 mod M, M = (q - 1)/(q0 - 1): 16276 for GF(5^8),
+# 20440 for GF(3^12).  Those inputs take the Order4Conjugated route.
+GOLDEN = [
+    (_F20, "(g^3+1)*x^-2 + (g)*x^1 + (g^19+g^7)*x^5 + O(x^6)", "DegreeAtLeast5",
+     "45df50657c0ec47f8578062316908dbb5cf2b5077a205a4211be6fa31286ec4a"),
+    (_F20, "x^7 + (g^5+g^2+1)*x^8 + (g^11)*x^9 + (g+1)*x^12 + O(x^16)", "DegreeAtLeast5",
+     "b80b7485bdb44720d4c019be94ffc299561aa1fe114553b1ad134e53df3701a2"),
+    (_F58, "(g^3+2)*x^1 + (4*g)*x^2 + (g^7+3*g^2)*x^4 + O(x^9)", "Order4Split",
+     "e7795813473a5f9193fcd95a27f9aa0d887d269377b696b5e312c4a074046b9b"),
+    (_F58, "(2*g^5+g)*x^-4 + (g^2+1)*x^-1 + (3)*x^0 + O(x^6)", "Order4Split",
+     "9c9c535cc2083ebc224eec749f220f8c348962e0640208634d5b6973c721794c"),
+    (_F58, "(g^1234)*x^2 + (g+3)*x^3 + (2*g^6)*x^5 + O(x^10)", "Order4L",
+     "532b8e2d60817e5d016f6e61031110784251d510558f98a883543f75b6c27fe7"),
+    (_F58, "(g^99)*x^-2 + (g^4+g)*x^0 + (g^3)*x^1 + (1)*x^4 + O(x^6)", "Order4L",
+     "2c4f85cf0be6d41de05f4268602d7a9daa8cbda2ed93a23b08813c6508df467a"),
+    (_F58, "(g^8138)*x^2 + (g+1)*x^3 + (g^2)*x^6 + O(x^10)", "Order4Conjugated",
+     "086473b78f555a6958f38a5b4ef641e9b7b04ca1e225f16d371fb43529e834fa"),
+    (_F58, "(g^40690)*x^-2 + (3*g^7+g)*x^-1 + (4)*x^2 + O(x^6)", "Order4Conjugated",
+     "0c60ee2641a5fca29e2a4c45be683608f868611247569fc9270063d246ac254b"),
+    (_F312, "(g^2+1)*x^3 + (2*g^11)*x^4 + (g^5+g)*x^7 + O(x^12)", "Order4Split",
+     "211da38686d9b2d0a50b66709e90773b0de7e93026d77df5b519543c0cd7d29d"),
+    (_F312, "(g)*x^-3 + (2)*x^0 + (g^9+2*g^3+1)*x^2 + O(x^7)", "Order4Split",
+     "39698796a59e34b08f8b12e89aafb014a178b0739157e36319eea74c54577a40"),
+    (_F312, "(g^777)*x^2 + (g^10+1)*x^4 + (2*g)*x^5 + O(x^12)", "Order4L",
+     "9a4545001fb4b8ba44c7479cff9e8ceb18ee526fc2167faa03d98131c91f4eac"),
+    (_F312, "(g^5)*x^-2 + (g+2)*x^-1 + (g^6)*x^3 + O(x^8)", "Order4L",
+     "9f6117803b44db57056aed75320b11f6ddf70c7b2d1a436e4d2e25bae2673d2e"),
+    (_F312, "(g^10220)*x^2 + (g^2+g)*x^3 + (2)*x^8 + O(x^12)", "Order4Conjugated",
+     "513e1c34430f65b8606a0586d54de868df67693d597eb3cc23878a8a50d44d4a"),
+    (_F312, "(g^71540)*x^6 + (g^11+2)*x^7 + (g^4)*x^9 + O(x^14)", "Order4Conjugated",
+     "8ebab1f4c117af30b7b21871775675ec697f5fac54a16f2186ebf4cee2b4fcfe"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, text, route, digest", GOLDEN, ids=[f"{g[2]}-{i}" for i, g in enumerate(GOLDEN)]
+)
+def test_golden_large_field_certificates(spec, text, route, digest):
+    ctx = build_ctx(*spec)
+    cert = decompose(parse_series(ctx, text))
+    assert cert.method == route
+    js = certificate_to_json(cert)
+    assert hashlib.sha256(js.encode()).hexdigest() == digest
+    assert verify_certificate(certificate_from_json(js))

@@ -1,7 +1,10 @@
 """Field contexts: arithmetic, automorphisms, and k0-linear algebra."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from operator import add, mul, sub
 
@@ -19,6 +22,7 @@ from skewlaurent.errors import (
 from skewlaurent.field_tower import (
     _STANDARD_POLYS,
     _is_irreducible,
+    _pdivmod,
     _zgcd,
     FiniteFieldCtx,
     RationalFunctionCtx,
@@ -330,11 +334,12 @@ def test_frob_power_subfield_coordinates():
         a = ctx.random_elem(rng)
         vec = ctx.k0_vec(a)
         assert len(vec) == 4
-        # coordinates live in k0 = Fix(sigma)
-        for c in vec:
+        # coordinates are k0 scalars, standing for elements of k0 = Fix(sigma)
+        elems = [ctx.k0_scalar_to_elem(c) for c in vec]
+        for c in elems:
             assert ctx.sigma(c, 1) == c
         rebuilt = ctx.zero()
-        for c, b in zip(vec, basis):
+        for c, b in zip(elems, basis):
             rebuilt = rebuilt + c * b
         assert rebuilt == a
     o4 = ctx.build_order4_ctx()
@@ -610,3 +615,53 @@ def test_ratfunc_str_golden(spec):
     for x in elems:
         _assert_canonical(x)
     assert [str(x) for x in elems] == _GOLDEN_STR[spec]
+
+
+def test_rabin_test_matches_trial_division():
+    # every monic polynomial of small degree, against division by all
+    # monic polynomials of degree 1 .. m/2
+    for p, top in ((2, 8), (3, 5), (5, 3), (17, 2)):
+        for m in range(1, top + 1):
+            divisors = [
+                tuple(cs) + (1,)
+                for d in range(1, m // 2 + 1)
+                for cs in product(range(p), repeat=d)
+            ]
+            for cs in product(range(p), repeat=m):
+                f = tuple(cs) + (1,)
+                reducible = any(not _pdivmod(f, g, p)[1] for g in divisors)
+                assert _is_irreducible(f, p) == (not reducible), (p, f)
+
+
+def test_used_context_is_freed_without_the_cycle_collector():
+    # contexts cache plain values, never elements of themselves, so a
+    # dropped context goes at once, even after every lazy set-up ran
+    specs = [
+        (3, 4, 1, None),
+        (2, 8, 2, None),
+        (5, 8, 2, (3, 2, 1, 0, 0, 0, 0, 0, 1)),
+        (2, 20, 1, None),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for p, m, e, mod in specs:
+            ctx = FiniteFieldCtx(p, m, frob_power=e, modulus=mod)
+            y = ctx.find_witness(ctx.sigma_order)
+            ctx.k0_vec(y)
+            ctx.k0_scalar_elements()
+            if ctx.sigma_order == 4:
+                o4 = ctx.build_order4_ctx()
+                ctx.sigma_minus_one_preimage(o4.l_basis[0])
+                o4.from_l_coords(o4.full_coords(o4.e2)[:3])
+                del o4
+            ref = weakref.ref(ctx)
+            del ctx, y
+            assert ref() is None, (p, m, e)
+        # an order-4 context kept past its field says so
+        o4 = FiniteFieldCtx(3, 4).build_order4_ctx()
+        with pytest.raises(ReferenceError):
+            o4.y
+    finally:
+        if enabled:
+            gc.enable()
