@@ -44,6 +44,9 @@ from .skew_series import SkewSeries, commutator, from_terms, term, zero
 _DEFAULT_PREC = 32
 # Largest coefficient window (prec - val) a parsed series may have.
 _MAX_WIDTH = 1 << 16
+# Deepest nesting of parentheses, unary signs, inv( and comm( the parser
+# takes: it recurses once per level, in up to six Python frames.
+_MAX_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -66,18 +69,25 @@ def build_ctx(field, sigma):
             raise FieldSpecError(
                 f"finite fields take sigma 'frob' or 'frob^e', not {sigma!r}"
             )
-        p, m = int(gf.group(1)), int(gf.group(2))
-        modulus = None
-        if gf.group(3):
-            modulus = tuple(int(c) for c in gf.group(3).replace(" ", "").split(","))
-        e = int(frob.group(1)) if frob.group(1) else 1
+        try:
+            p, m = int(gf.group(1)), int(gf.group(2))
+            modulus = None
+            if gf.group(3):
+                modulus = tuple(int(c) for c in gf.group(3).replace(" ", "").split(","))
+            e = int(frob.group(1)) if frob.group(1) else 1
+        except ValueError as exc:  # an empty entry, or past Python's int-string limit
+            raise FieldSpecError("field spec numeral is empty or too long") from exc
         return FiniteFieldCtx(p, m, frob_power=e, modulus=modulus)
     if field == "qt":
         if sigma == "shift":
             return RationalFunctionCtx("shift")
         scale = _SCALE_RE.fullmatch(sigma)
         if scale:
-            return RationalFunctionCtx("scale", scale=Fraction(scale.group(1)))
+            try:
+                factor = Fraction(scale.group(1))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise FieldSpecError(f"bad scale factor: {exc}") from exc
+            return RationalFunctionCtx("scale", scale=factor)
         raise FieldSpecError(f"qt takes sigma 'shift' or 'scale:a/b', not {sigma!r}")
     raise FieldSpecError(f"unknown field spec {field!r}")
 
@@ -130,6 +140,11 @@ def _tokenize(text):
     return toks
 
 
+def _too_long(tok):
+    """The error for an int token past Python's int-string limit."""
+    return SeriesSyntaxError(f"integer of {len(tok.text)} digits is too long", pos=tok.pos)
+
+
 class _Parser:
     """Recursive-descent parser over a token list.
 
@@ -143,6 +158,7 @@ class _Parser:
         self.relprec = relprec
         self.eval_mode = eval_mode
         self.var = "t" if isinstance(ctx, RationalFunctionCtx) else "g"
+        self.depth = 0
 
     # -- token helpers --------------------------------------------------
 
@@ -174,6 +190,17 @@ class _Parser:
     def _at_end(self):
         return self.i >= len(self.toks)
 
+    def _nested(self, parse):
+        """parse() one nesting level deeper, within _MAX_DEPTH."""
+        if self.depth == _MAX_DEPTH:
+            tok = self._peek()
+            pos = tok.pos if tok else None
+            raise SeriesSyntaxError(f"nested deeper than {_MAX_DEPTH} levels", pos=pos)
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
+
     # -- integers -------------------------------------------------------
 
     def _integer(self):
@@ -183,7 +210,10 @@ class _Parser:
         tok = self._next()
         if tok.kind != "int":
             raise SeriesSyntaxError("expected an integer", pos=tok.pos)
-        v = int(tok.text)
+        try:
+            v = int(tok.text)
+        except ValueError as exc:
+            raise _too_long(tok) from exc
         return -v if neg else v
 
     # -- coefficient (field element) expressions ------------------------
@@ -223,9 +253,9 @@ class _Parser:
 
     def _elem_unary(self):
         if self._accept_op("-"):
-            return -self._elem_unary()
+            return -self._nested(self._elem_unary)
         if self._accept_op("+"):
-            return self._elem_unary()
+            return self._nested(self._elem_unary)
         return self._elem_pow()
 
     def _elem_pow(self):
@@ -240,7 +270,10 @@ class _Parser:
     def _elem_atom(self):
         tok = self._next()
         if tok.kind == "int":
-            return self.ctx.from_int(int(tok.text))
+            try:
+                return self.ctx.from_int(int(tok.text))
+            except ValueError as exc:
+                raise _too_long(tok) from exc
         if tok.kind == "ident":
             if tok.text == self.var:
                 return self.ctx.gen()
@@ -250,7 +283,7 @@ class _Parser:
                 )
             raise SeriesSyntaxError(f"unknown symbol {tok.text!r}", pos=tok.pos)
         if tok.kind == "op" and tok.text == "(":
-            inner = self.elem_sum()
+            inner = self._nested(self.elem_sum)
             self._expect_op(")")
             return inner
         raise SeriesSyntaxError(f"unexpected {tok.text!r}", pos=tok.pos)
@@ -369,15 +402,15 @@ class _Parser:
             if tok.text == "inv":
                 self.i += 1
                 self._expect_op("(")
-                inner = self._eval_sum()
+                inner = self._nested(self._eval_sum)
                 self._expect_op(")")
                 return inner.inverse()
             if tok.text == "comm":
                 self.i += 1
                 self._expect_op("(")
-                first = self._eval_sum()
+                first = self._nested(self._eval_sum)
                 self._expect_op(",")
-                second = self._eval_sum()
+                second = self._nested(self._eval_sum)
                 self._expect_op(")")
                 return commutator(first, second)
             if tok.text == "O":
@@ -390,7 +423,7 @@ class _Parser:
                 return term(self.ctx, self.ctx.one(), e, e + self.relprec)
         if tok.kind == "op" and tok.text == "(" and self._paren_holds_series():
             self.i += 1
-            inner = self._eval_sum()
+            inner = self._nested(self._eval_sum)
             self._expect_op(")")
             return inner
         exp, coef = self._series_term()
@@ -477,7 +510,8 @@ def certificate_from_json(text):
             check_prec=obj["prec"],
             experimental=bool(obj.get("experimental", False)),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        # json raises RecursionError for arrays or objects nested too deep
         raise SeriesSyntaxError(f"malformed certificate: {exc}") from exc
 
 

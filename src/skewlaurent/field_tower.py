@@ -9,12 +9,15 @@ Two concrete families are provided:
   scaling t -> q*t for a rational q outside {0, 1, -1}.  Both have
   infinite order and fixed field Q.
 
-Elements are exact.  A finite-field element is a packed int.  Fields of
-at most _TABLE_LIMIT elements pack the coefficients in base p and
-compute on exp/log/Zech tables.  Larger fields use the packed
-polynomial arithmetic of ``packed``: coefficients one per bit (p = 2)
-or one per byte-aligned slot (odd p), big-int products, extended-Euclid
-inverses, and sigma^j as a precomputed GF(p)-linear map.  A Q(t)
+Elements are exact.  A finite-field element is a packed int, and its
+context binds one set of operations at construction, chosen by the
+field size q.  Fields of at most _TABLE_LIMIT elements pack the
+coefficients in base p and compute on exp/log/Zech tables
+(``linalg.ZechScalars``), built by walking the powers of a generator
+with the packed kernel.  Larger fields compute on that kernel itself
+(``packed``): coefficients one per bit (p = 2) or one per byte-aligned
+slot (odd p), big-int products, extended-Euclid inverses, and sigma^j
+as a precomputed GF(p)-linear map.  A Q(t)
 element is a pair n/d of integer-coefficient polynomials, coprime over
 Q[t], with joint integer content 1 and a positive leading coefficient
 of d.  Q(t) arithmetic is fraction-free: gcds over Z[t] run a primitive
@@ -43,7 +46,6 @@ from .errors import (
     InfiniteOrder,
     NoWitness,
     NotInL,
-    NotInSpan,
     UnsupportedOrder,
     ZeroNotInvertible,
 )
@@ -62,65 +64,6 @@ from .packed import PackedGF2, PackedOddField
 
 _TABLE_LIMIT = 1 << 16
 _WITNESS_SEED = "normal-basis-search"
-
-
-# ---------------------------------------------------------------------------
-# polynomials over GF(p): tuples of ints, ascending degree, trailing-trimmed
-
-
-def _ptrim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim(
-        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)
-    )
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], -1, p)
-    for i in range(len(a) - len(b), -1, -1):
-        c = (a[i + len(b) - 1] * inv_lead) % p
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % p
-    return _ptrim(q), _ptrim(a)
-
-
-def _pmulmod(a, b, mod, p):
-    return _pdivmod(_pmul(a, b, p), mod, p)[1]
-
-
-def _ppowmod(a, e, mod, p):
-    out = (1,)
-    base = _pdivmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            out = _pmulmod(out, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
-    return out
 
 
 def _is_prime(n):
@@ -148,6 +91,30 @@ def _prime_factors(n):
     return out
 
 
+def _kernel(p, m, mod, maps=1):
+    """The packed arithmetic of GF(p)[x]/(mod); maps sizes PackedGF2's linear maps."""
+    return PackedGF2(m, mod, maps) if p == 2 else PackedOddField(p, m, mod)
+
+
+def _log_tables(p, q, candidates, mul, add, pow_, index):
+    """``ZechScalars`` for GF(q), q = p^d, from its arithmetic in another form.
+
+    The generator is the first of the nonzero candidates whose power
+    (q-1)/r is not 1 for any prime r dividing q - 1 (1 stands for one).
+    Its powers are walked with mul, 1 + g^i is taken with add, and index
+    gives the int that stands for each power in the tables.
+    """
+    qm1 = q - 1
+    fac = _prime_factors(qm1)
+    gen = next(g for g in candidates if all(pow_(g, qm1 // r) != 1 for r in fac))
+    powers = [1]
+    for _ in range(qm1 - 1):
+        powers.append(mul(powers[-1], gen))
+    log = {v: i for i, v in enumerate(powers)}
+    zech = [log.get(add(1, v), -1) for v in powers]
+    return ZechScalars(p, [index(v) for v in powers], zech)
+
+
 def _is_irreducible(mod, p):
     """Rabin's test for a monic polynomial f over GF(p).
 
@@ -161,7 +128,7 @@ def _is_irreducible(mod, p):
         return False
     if m == 1:
         return True
-    kern = PackedGF2(m, mod, 1) if p == 2 else PackedOddField(p, m, mod)
+    kern = _kernel(p, m, mod)
     frob = [kern.x]  # frob[i] = x^(p^i) mod f
     for _ in range(m):
         frob.append(kern.pow(frob[-1], p))
@@ -237,16 +204,7 @@ class FieldCtx:
     def sigma_spec(self):
         raise NotImplementedError
 
-    # -- sigma-degree and witnesses --------------------------------------
-
-    def sigma_degree(self, a, cap):
-        """Least j in 1..cap with sigma^j(a) = a, or None if there is none."""
-        b = a
-        for j in range(1, cap + 1):
-            b = self.sigma(b, 1)
-            if b == a:
-                return j
-        return None
+    # -- witnesses ---------------------------------------------------------
 
     def find_witness(self, min_degree):
         """An element moved by every relevant power of sigma.
@@ -293,15 +251,6 @@ class FieldCtx:
         """sum_j coeffs[j]*basis[j] for k0 scalars coeffs, basis as in tables."""
         raise InfiniteOrder("k0-linear algebra requires finite sigma order")
 
-    def coords(self, a, basis):
-        """Coordinates of a against a k0-independent basis, or NotInSpan."""
-        scalars = self.k0_scalars()
-        cols = [self.k0_vec(b) for b in basis]
-        sol = solve_from_columns(cols, self.k0_vec(a), scalars)
-        if sol is None:
-            raise NotInSpan("element is not in the k0-span of the given basis")
-        return sol
-
     def solve_k0_linear(self, columns, rhs):
         """Particular solution over k0 (free variables zero), or None."""
         return solve_from_columns(columns, rhs, self.k0_scalars())
@@ -310,11 +259,9 @@ class FieldCtx:
         """solve_k0_linear for fixed columns, as a function of rhs."""
         return particular_solver(columns, self.k0_scalars())
 
-    def k0_span_dim(self, elems):
-        return rank_of_vectors([self.k0_vec(a) for a in elems], self.k0_scalars())
-
     def is_k0_independent(self, elems):
-        return self.k0_span_dim(elems) == len(elems)
+        vecs = [self.k0_vec(a) for a in elems]
+        return rank_of_vectors(vecs, self.k0_scalars()) == len(elems)
 
     def sigma_minus_one_preimage(self, c):
         """Some z with sigma(z) - z = c, free coordinates pinned to zero."""
@@ -437,14 +384,18 @@ class FFElem:
 class FiniteFieldCtx(FieldCtx):
     """GF(p^m) with sigma = Frobenius^e.
 
-    Up to _TABLE_LIMIT elements, arithmetic uses exp/log and Zech-logarithm
-    tables, with one sigma permutation table per power, and an element is
-    its base-p packed coefficient vector.  Larger fields bind the
-    operations of a packed polynomial backend once, at construction:
-    ``PackedGF2`` (bit-packed, XOR sums, shift-XOR products) for p = 2 and
-    ``PackedOddField`` (Kronecker-packed) for odd p.  Both invert by the
-    extended Euclidean algorithm and apply sigma^j as a precomputed
-    GF(p)-linear map on the coefficients.
+    One seam with two implementations, selected by q: the constructor
+    binds _add, _neg, _mul, _inv, _pow and one callable per power of
+    sigma, and nothing else branches on the backend.  Up to _TABLE_LIMIT
+    elements an element is its base-p packed coefficient vector, the
+    operations are those of a ``ZechScalars`` (exp/log/Zech tables built
+    on the packed kernel), and sigma^j is a permutation table.  Larger
+    fields bind the packed kernel's operations: ``PackedGF2`` (bit-packed,
+    XOR sums, shift-XOR products) for p = 2 and ``PackedOddField``
+    (Kronecker-packed) for odd p.  Both invert by the extended Euclidean
+    algorithm and apply sigma^j as a precomputed GF(p)-linear map on the
+    coefficients.  The tables stay for the small fields because lookups
+    are cheaper there than the kernel's products and inverses.
 
     The k0-linear algebra runs over k0 = GF(p^d), d = gcd(m, e), as small
     ints: residues mod p when d = 1, ``ZechScalars`` otherwise, where the
@@ -483,18 +434,9 @@ class FiniteFieldCtx(FieldCtx):
         self.subfield_degree = gcd(m, e)  # k0 = GF(p^subfield_degree)
         self.sigma_order = m // self.subfield_degree
         self.key = ("gf", p, m, e, modulus)
-        self._qm1 = self.q - 1
-        self._exp = None
-        self._log = None
-        self._zech = None
-        self._sig_tabs = None
-        self._sig_maps = None
         self._gen_value = p
         self._k0 = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self._bind_packed_backend()
+        self._bind_backend(_kernel(p, m, modulus, self.sigma_order))
 
     # -- representation helpers ------------------------------------------
     #
@@ -517,113 +459,41 @@ class FiniteFieldCtx(FieldCtx):
     def _from_base_p(self, v):
         return v
 
-    def _build_tables(self):
-        p, q, qm1, mod = self.p, self.q, self._qm1, self.modulus
-        fac = _prime_factors(qm1) if qm1 > 1 else []
-        alpha = None
-        for cand in range(p, q):  # the generator polynomial x is packed as p
-            poly = _ptrim(self._digits(cand))
-            if all(_ppowmod(poly, qm1 // f, mod, p) != (1,) for f in fac):
-                alpha = poly
-                break
-        if alpha is None:
-            for cand in range(2, p):
-                poly = (cand,)
-                if all(_ppowmod(poly, qm1 // f, mod, p) != (1,) for f in fac):
-                    alpha = poly
-                    break
-        exp = [0] * qm1
-        cur = (1,)
-        for i in range(qm1):
-            exp[i] = self._pack(cur + (0,) * (self.m - len(cur)))
-            cur = _pmulmod(cur, alpha, mod, p)
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        one_digits = self._digits(1)
-        zech = [0] * qm1
-        for d in range(qm1):
-            summed = _padd(one_digits, self._digits(exp[d]), p)
-            s = self._pack(summed + (0,) * (self.m - len(summed)))
-            zech[d] = log[s] if s else -1
-        self._exp, self._log, self._zech = exp, log, zech
-        self._neg_log = 0 if p == 2 else qm1 // 2
-        tabs = []
-        for j in range(self.sigma_order):
-            mult = pow(p, (self.e * j) % self.m, qm1) if qm1 > 1 else 0
-            tab = [0] * q
-            for i in range(qm1):
-                tab[exp[i]] = exp[(i * mult) % qm1]
-            tabs.append(tab)
-        self._sig_tabs = tabs
-
-    def _bind_packed_backend(self):
-        p, m = self.p, self.m
-        if p == 2:
-            kern = PackedGF2(m, self.modulus, self.sigma_order)
+    def _bind_backend(self, kern):
+        """Bind the operations and sigma^j maps of the backend q selects."""
+        p, q = self.p, self.q
+        step = p**self.e  # sigma(a) = a^step
+        if q <= _TABLE_LIMIT:
+            candidates = map(kern.from_base_p, itertools.chain(range(p, q), range(2, p)))
+            ops = _log_tables(p, q, candidates, kern.mul, kern.add, kern.pow, kern.to_base_p)
+            sig1 = [ops.pow(v, step) for v in range(q)]
+            maps = [None, sig1.__getitem__]
+            tab = sig1
+            for _ in range(2, self.sigma_order):
+                tab = [sig1[v] for v in tab]
+                maps.append(tab.__getitem__)
         else:
-            kern = PackedOddField(p, m, self.modulus)
-        self._add, self._neg, self._mul, self._inv = kern.add, kern.neg, kern.mul, kern.inv
-        self._pow = kern.pow
-        self._digits, self._pack, self._from_base_p = kern.digits, kern.pack, kern.from_base_p
-        self._gen_value = kern.x
-        # sigma(x^i) = x^(i*p^e): the images of the basis under sigma^j
-        step = kern.pow(self._gen_value, p**self.e)
-        images = [1]
-        for _ in range(m - 1):
-            images.append(self._mul(images[-1], step))
-        sig1 = kern.linear(images)
-        maps = [None, sig1]
-        for _ in range(2, self.sigma_order):
-            images = [sig1(v) for v in images]
-            maps.append(kern.linear(images))
+            ops = kern
+            self._digits, self._pack, self._from_base_p = kern.digits, kern.pack, kern.from_base_p
+            self._gen_value = kern.x
+            # sigma(x^i) = x^(i*step): the images of the basis under sigma^j
+            x_step = kern.pow(kern.x, step)
+            images = [1]
+            for _ in range(self.m - 1):
+                images.append(kern.mul(images[-1], x_step))
+            sig1 = kern.linear(images)
+            maps = [None, sig1]
+            for _ in range(2, self.sigma_order):
+                images = [sig1(v) for v in images]
+                maps.append(kern.linear(images))
+        self._add, self._neg, self._mul, self._inv = ops.add, ops.neg, ops.mul, ops.inv
+        self._pow = ops.pow
         self._sig_maps = maps
-
-    # -- packed arithmetic -------------------------------------------------
-    #
-    # These are the table backend's; the packed backend binds its own.
-
-    def _add(self, a, b):
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        la, lb = self._log[a], self._log[b]
-        z = self._zech[(lb - la) % self._qm1]
-        if z < 0:
-            return 0
-        return self._exp[(la + z) % self._qm1]
-
-    def _neg(self, a):
-        if a == 0:
-            return 0
-        return self._exp[(self._log[a] + self._neg_log) % self._qm1]
-
-    def _mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % self._qm1]
-
-    def _inv(self, a):
-        if a == 0:
-            raise ZeroNotInvertible("0 has no inverse")
-        return self._exp[-self._log[a] % self._qm1]
-
-    def _pow(self, a, k):
-        if a == 0:
-            if k > 0:
-                return 0
-            if k == 0:
-                return 1
-            raise ZeroNotInvertible("0 has no negative powers")
-        return self._exp[(self._log[a] * k) % self._qm1]
 
     def sigma(self, a, i=1):
         j = i % self.sigma_order
         if j == 0:
             return a
-        if self._sig_tabs is not None:
-            return FFElem(self, self._sig_tabs[j][a.value])
         return FFElem(self, self._sig_maps[j](a.value))
 
     # -- constructors ------------------------------------------------------
@@ -751,17 +621,9 @@ class FiniteFieldCtx(FieldCtx):
         else:
             elems = self._k0_values()
             pos = {v: c for c, v in enumerate(elems)}
-            for g in elems[1:]:
-                powers = [1]
-                cur = g
-                while cur != 1:
-                    powers.append(cur)
-                    cur = self._mul(cur, g)
-                if len(powers) == len(elems) - 1:
-                    break
-            log = {v: i for i, v in enumerate(powers)}
-            zech = [log.get(self._add(1, v), -1) for v in powers]
-            k0.scalars = ZechScalars(p, [pos[v] for v in powers], zech)
+            k0.scalars = _log_tables(
+                p, len(elems), elems[1:], self._mul, self._add, self._pow, pos.__getitem__
+            )
             y = self._normal_basis_elem()
             cols = [
                 self._digits((b * self.sigma(y, i)).value)
@@ -1329,12 +1191,6 @@ class Order4Ctx:
 
     def in_l(self, a):
         return self._scalars.is_zero(self.full_coords(a)[3])
-
-    def l_coords(self, a):
-        fc = self.full_coords(a)
-        if not self._scalars.is_zero(fc[3]):
-            raise NotInL("element is not in the image of sigma - 1")
-        return fc[:3]
 
     def in_k1(self, a):
         # k1 is spanned by e1 = l_basis[0] + l_basis[2]

@@ -4,7 +4,9 @@ Gaussian elimination is generic over a scalar adapter (zero, one, add,
 sub, mul, neg, inv, is_zero): ``ModPScalars`` for GF(p) as residues and
 ``ZechScalars`` for GF(p^d) as ints on exp/log/Zech tables.  ``K0Maps``
 holds GF(p)-linear maps from GF(p^m) to tuples of such scalars as packed
-columns.  The field contexts use these for the k0-linear algebra.
+columns.  The field contexts use these for the k0-linear algebra, and
+``ZechScalars`` (with its ``pow``) is also the arithmetic of every finite
+field small enough for tables.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class ZechScalars:
     tables; 0 always stands for 0 and ``one`` for 1.
     """
 
-    __slots__ = ("zero", "one", "_exp", "_log", "_zech", "_qm1", "_neg_log")
+    __slots__ = ("zero", "one", "_exp", "_log", "_log1p", "_qm1", "_neg_log")
 
     def __init__(self, p, exp, zech):
         qm1 = len(exp)
@@ -62,7 +64,7 @@ class ZechScalars:
             log[v] = i
         self.zero = 0
         self.one = exp[0]
-        self._exp, self._log, self._zech, self._qm1 = exp, log, zech, qm1
+        self._exp, self._log, self._log1p, self._qm1 = exp, log, zech, qm1
         self._neg_log = 0 if p == 2 else qm1 // 2
 
     def add(self, a, b):
@@ -71,7 +73,7 @@ class ZechScalars:
         if b == 0:
             return a
         la, lb = self._log[a], self._log[b]
-        z = self._zech[(lb - la) % self._qm1]
+        z = self._log1p[(lb - la) % self._qm1]
         if z < 0:
             return 0
         return self._exp[(la + z) % self._qm1]
@@ -93,6 +95,15 @@ class ZechScalars:
         if a == 0:
             raise ZeroNotInvertible("0 has no inverse")
         return self._exp[-self._log[a] % self._qm1]
+
+    def pow(self, a, k):
+        if a == 0:
+            if k > 0:
+                return 0
+            if k == 0:
+                return self.one
+            raise ZeroNotInvertible("0 has no negative powers")
+        return self._exp[self._log[a] * k % self._qm1]
 
     def is_zero(self, a):
         return a == 0

@@ -1,4 +1,8 @@
-"""Packed arithmetic in GF(p^m) = GF(p)[x]/(f), for fields past the table limit.
+"""Packed arithmetic in GF(p^m) = GF(p)[x]/(f).
+
+Fields past the table limit compute on it; smaller ones walk the powers
+of a generator with it to build their Zech tables, and Rabin's test runs
+on it for every field.
 
 An element is one Python int holding its m coefficients over GF(p):
 
@@ -176,6 +180,9 @@ class PackedGF2(PackedField):
     def from_base_p(self, v):
         return v
 
+    def to_base_p(self, v):
+        return v
+
     def linear(self, images):
         """v -> XOR of images[i] over the set bits i of v."""
         c = self._chunk
@@ -274,6 +281,12 @@ class PackedOddField(PackedField):
             v, d = divmod(v, self.p)
             ds.append(d)
         return self._join(ds)
+
+    def to_base_p(self, v):
+        out = 0
+        for d in reversed(self._split(v, self.m)):
+            out = out * self.p + d
+        return out
 
     def linear(self, images):
         """v -> sum of digit_i(v) * images[i], reduced."""

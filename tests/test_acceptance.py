@@ -22,7 +22,7 @@ from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx
 from skewlaurent.reduced_trace import reduced_trace
 from skewlaurent.skew_series import SkewSeries, commutator, from_terms, term
 
-from conftest import nonzero_elem
+from conftest import k0_rank, nonzero_elem
 
 
 def _report(capsys, num, ok, text):
@@ -178,7 +178,7 @@ def test_criterion_4_exhaustive_f81_order4_geometry(capsys):
             if not ctx.is_k0_independent([a, b]):
                 continue
             prods = [a * l for l in o4.l_basis] + [b * l for l in o4.l_basis]
-            if ctx.k0_span_dim(prods) != 4:
+            if k0_rank(ctx, prods) != 4:
                 ok = False
             pairs += 1
 

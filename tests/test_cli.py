@@ -342,6 +342,53 @@ def test_cli_rejects_windows_past_the_budget():
     assert code == 0
 
 
+def test_cli_rejects_oversized_numerals():
+    # digit runs past Python's int-string limit (4300 digits)
+    big = "7" * 5000
+    gf = ["--field", "gf(3^4)", "--sigma", "frob"]
+    cases = [
+        ["decompose", *gf, f"{big}*x + O(x^3)"],
+        ["decompose", *gf, f"x^{big}"],
+        ["trace", *gf, f"{big}*x^0 + O(x^4)"],
+        ["trace", *gf, f"g^{big}*x"],
+        ["eval", *gf, f"x^{big} + x"],
+        ["trace", "--field", f"gf({big}^2)", "--sigma", "frob", "x"],
+        ["trace", "--field", f"gf(3^4);poly=2,0,0,{big},1", "--sigma", "frob", "x"],
+        ["eval", "--field", "qt", "--sigma", f"scale:{big}/2", "x"],
+    ]
+    for argv in cases:
+        code, out, err = run_cli(argv)
+        assert code == 2, argv[:3]
+        assert out == "" and err.startswith("error: ")
+
+
+def test_cli_rejects_nesting_past_the_budget():
+    gf = ["--field", "gf(3^4)", "--sigma", "frob"]
+    deep = 3000
+    cases = [
+        ["decompose", *gf, "(" * deep + "1" + ")" * deep + "*x"],
+        ["eval", *gf, "(" * deep + "x" + ")" * deep],
+        ["eval", *gf, "inv(" * deep + "x" + ")" * deep],
+        ["eval", *gf, "comm(x, " * deep + "g" + ")" * deep],
+        ["decompose", *gf, "2*" + "-" * deep + "g*x^2"],
+    ]
+    for argv in cases:
+        code, out, err = run_cli(argv)
+        assert code == 2, argv[:3]
+        assert out == "" and err.startswith("error: nested deeper than 100 levels")
+    # json's own nesting limit, in a certificate
+    code, out, err = run_cli(["verify", "-"], stdin_text="[" * deep)
+    assert code == 2 and err.startswith("error: malformed certificate")
+    # the budget itself is allowed
+    for argv in (
+        ["eval", *gf, "(" * 100 + "x" + ")" * 100],
+        ["eval", *gf, "(" * 99 + "-" + "g)" + ")" * 98 + "*x"],
+        ["eval", "--field", "qt", "--sigma", "shift", "(" * 100 + "t" + ")" * 100 + "*x"],
+    ):
+        code, _, _ = run_cli(argv)
+        assert code == 0, argv[:3]
+
+
 def test_cli_exit_code_3_for_unsupported():
     code, _, err = run_cli(["decompose", "--field", "gf(3^2)", "--sigma", "frob", "x^1"])
     assert code == 3 and "order 2" in err
@@ -354,6 +401,9 @@ def test_cli_exit_code_2_for_bad_input():
         ["decompose", "--field", "gf(2^5)", "--sigma", "frob", "x^1 + ?"],
         ["decompose", "--field", "gf(6^2)", "--sigma", "frob", "x^1"],
         ["eval", "--field", "qt", "--sigma", "scale:0", "x^1"],
+        ["eval", "--field", "qt", "--sigma", "scale:1/0", "x^1"],
+        ["trace", "--field", "gf(3^2);poly=2,,1", "--sigma", "frob", "x^1"],
+        ["trace", "--field", "gf(3^2);poly=2,-,1", "--sigma", "frob", "x^1"],
         ["verify", "-"],
     ]
     for argv in cases:

@@ -6,6 +6,10 @@ the polynomial backend on small fields, where every result can be
 checked exhaustively against the tables.  Elements are matched through
 ``elements()``, which denotes the same element at the same position in
 both backends, and that matching is itself checked by printing them.
+
+The tables are built by walking powers with the packed kernel, so they
+are in turn checked against schoolbook polynomial arithmetic over digit
+tuples, which shares no code with either backend.
 """
 
 import random
@@ -17,14 +21,21 @@ from skewlaurent.cli import certificate_to_json
 from skewlaurent.decompose import decompose
 from skewlaurent.errors import UnsupportedOrder
 from skewlaurent.field_tower import FiniteFieldCtx
+from skewlaurent.linalg import ZechScalars
+from skewlaurent.packed import PackedField
 from skewlaurent.reduced_trace import reduced_trace
 from skewlaurent.skew_series import SkewSeries, commutator, zero
+
+from conftest import pdivmod, pmul
 
 # (p, m, Frobenius power): orders 4, 4, 8, 5 and 4 with k0 = GF(4), then
 # two fields whose packed slots need two bytes (m*(p-1)^2 >= 256): an
 # order-2 one and an order-4 one, both checked on samples past q = 256.
 FIELDS = [(2, 4, 1), (3, 4, 1), (2, 8, 1), (3, 5, 1), (2, 8, 2), (17, 2, 1), (11, 4, 1)]
 EXHAUSTIVE_Q = 256
+# Table fields checked against the digit-tuple reference: every power of
+# the generator and every product.
+REFERENCE_FIELDS = [(2, 4, 1), (3, 4, 1), (3, 5, 1), (2, 8, 2)]
 
 
 @pytest.fixture(scope="module", params=FIELDS, ids=lambda f: "gf({}^{})/frob^{}".format(*f))
@@ -34,10 +45,39 @@ def backends(request):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field_tower, "_TABLE_LIMIT", 1)
         poly = FiniteFieldCtx(p, m, frob_power=e)
-    assert table._log is not None and poly._log is None
+    assert isinstance(table._mul.__self__, ZechScalars)
+    assert isinstance(poly._mul.__self__, PackedField)
     t_elems, p_elems = list(table.elements()), list(poly.elements())
     assert [str(a) for a in t_elems] == [str(a) for a in p_elems]
     return table, poly, t_elems, p_elems
+
+
+@pytest.mark.parametrize(
+    "p, m, e", REFERENCE_FIELDS, ids=["gf({}^{})/frob^{}".format(*f) for f in REFERENCE_FIELDS]
+)
+def test_tables_match_digit_tuple_reference(p, m, e):
+    ctx = FiniteFieldCtx(p, m, frob_power=e)
+    assert isinstance(ctx._mul.__self__, ZechScalars)
+    f = ctx.modulus
+    elems = list(ctx.elements())  # the i-th has the base-p digits of i
+
+    def to_index(poly):
+        return sum(c * p**k for k, c in enumerate(poly))
+
+    polys = []
+    for i in range(ctx.q):
+        ds = [i // p**k % p for k in range(m)]
+        while ds and not ds[-1]:
+            ds.pop()
+        polys.append(tuple(ds))
+    g, power = ctx.gen(), (1,)
+    for i in range(ctx.q):
+        assert g**i == elems[to_index(power)], i
+        power = pdivmod(pmul(power, (0, 1), p), f, p)[1]
+    idx = _indexer(elems)
+    for a, pa in zip(elems, polys):
+        want = [to_index(pdivmod(pmul(pa, pb, p), f, p)[1]) for pb in polys]
+        assert [idx(a * b) for b in elems] == want
 
 
 def _indexer(elems):
