@@ -10,8 +10,8 @@ Four subcommands:
   ``comm(...,...)``) and print the result.
 
 Exit codes: 0 success/valid, 1 invalid certificate or internal failure,
-2 malformed input, 3 unsupported automorphism (order 2 or 3, or the
-identity).
+2 malformed input, input past a budget, or a result too large to print,
+3 unsupported automorphism (order 2 or 3, or the identity).
 
 Series are written as sums of ``coef*x^e`` terms with an optional
 trailing ``O(x^k)``; coefficients are integer polynomials in ``g`` for
@@ -23,6 +23,7 @@ plus the --prec window.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -33,17 +34,23 @@ from .errors import (
     ExponentBeyondPrecision,
     FieldSpecError,
     IdentityAutomorphism,
+    OutputTooLarge,
     SeriesSyntaxError,
     SkewLaurentError,
     UnsupportedOrder,
 )
 from .field_tower import FiniteFieldCtx, RationalFunctionCtx
 from .reduced_trace import reduced_trace
-from .skew_series import SkewSeries, commutator, from_terms, term, zero
+from .skew_series import SkewSeries, commutator, from_terms, zero
 
 _DEFAULT_PREC = 32
 # Largest coefficient window (prec - val) a parsed series may have.
 _MAX_WIDTH = 1 << 16
+# Largest |val| of a series from text or a certificate: sigma^val costs
+# grow with it (scale:a multiplies by a^val).
+_MAX_EXPONENT = 1 << 12
+# Largest |e| in a Q(t) coefficient power c^e.
+_MAX_QT_POWER = 512
 # Deepest nesting of parentheses, unary signs, inv( and comm( the parser
 # takes: it recurses once per level, in up to six Python frames.
 _MAX_DEPTH = 100
@@ -93,380 +100,312 @@ def build_ctx(field, sigma):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# tokenizer and parser
 
 
-_CALL_NAMES = ("inv", "comm")
-_OPS = set("+-*/^(),")
+# Integers, names and the nine operators.  ASCII whitespace (what
+# str.isspace accepts below 128) separates tokens; any other character
+# is an error.
+_TOKEN_RE = re.compile(r"\d+|\w+|[-+*/^(),]", re.ASCII)
+_BAD_CHAR_RE = re.compile(r"[^\t-\r\x1c-\x20\w+\-*/^(),]", re.ASCII)
+# Names that end a coefficient, and that mark a parenthesised eval group
+# as a series rather than a coefficient.
+_SERIES_NAMES = frozenset(("x", "O", "inv", "comm"))
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if c in _OPS:
-            toks.append(_Token("op", c, i))
-            i += 1
-            continue
-        raise SeriesSyntaxError(f"unexpected character {c!r}", pos=i)
-    return toks
-
-
-def _too_long(tok):
-    """The error for an int token past Python's int-string limit."""
-    return SeriesSyntaxError(f"integer of {len(tok.text)} digits is too long", pos=tok.pos)
+def _check_window(val, prec, error=SeriesSyntaxError):
+    """The budgets on a series from x^val to O(x^prec): its width, and val."""
+    if prec - val > _MAX_WIDTH:
+        raise error(f"window x^{val} .. O(x^{prec}) is wider than {_MAX_WIDTH} coefficients")
+    if not -_MAX_EXPONENT <= val <= _MAX_EXPONENT:
+        raise error(f"exponent x^{val} is outside x^-{_MAX_EXPONENT} .. x^{_MAX_EXPONENT}")
 
 
 class _Parser:
-    """Recursive-descent parser over a token list.
+    """Recursive-descent parser over a list of string tokens.
 
     Coefficient expressions and series expressions share the tokens; a
-    '*' directly before a series-level symbol ends the coefficient."""
+    '*' directly before a series-level name ends the coefficient.  The
+    list ends with a "" sentinel.  Text positions are found only for an
+    error message."""
 
-    def __init__(self, ctx, toks, relprec, eval_mode=False):
-        self.ctx = ctx
-        self.toks = toks
+    def __init__(self, ctx, text, relprec, eval_mode=False):
+        bad = _BAD_CHAR_RE.search(text)
+        if bad:
+            raise SeriesSyntaxError(f"unexpected character {bad.group()!r}", pos=bad.start())
+        self.toks = _TOKEN_RE.findall(text)
+        self.toks.append("")
         self.i = 0
+        self.text = text
+        self.ctx = ctx
         self.relprec = relprec
         self.eval_mode = eval_mode
-        self.var = "t" if isinstance(ctx, RationalFunctionCtx) else "g"
+        qt = isinstance(ctx, RationalFunctionCtx)
+        self.var = "t" if qt else "g"
+        # Q(t) powers grow the coefficients; GF powers cost O(log e).
+        self.max_power = _MAX_QT_POWER if qt else None
         self.depth = 0
 
-    # -- token helpers --------------------------------------------------
+    def _error(self, message, at=None):
+        """SeriesSyntaxError at token index at (the cursor by default)."""
+        at = self.i if at is None else at
+        pos = None
+        if at < len(self.toks) - 1:  # no position at the end
+            pos = next(itertools.islice(_TOKEN_RE.finditer(self.text), at, None)).start()
+        return SeriesSyntaxError(message, pos=pos)
 
-    def _peek(self, ahead=0):
-        idx = self.i + ahead
-        return self.toks[idx] if idx < len(self.toks) else None
-
-    def _next(self):
-        tok = self._peek()
-        if tok is None:
-            raise SeriesSyntaxError("unexpected end of input")
-        self.i += 1
-        return tok
-
-    def _accept_op(self, text):
-        tok = self._peek()
-        if tok is not None and tok.kind == "op" and tok.text == text:
-            self.i += 1
-            return True
-        return False
-
-    def _expect_op(self, text):
-        tok = self._peek()
-        if tok is None or tok.kind != "op" or tok.text != text:
-            pos = tok.pos if tok else None
-            raise SeriesSyntaxError(f"expected {text!r}", pos=pos)
+    def _take(self, op):
+        if self.toks[self.i] != op:
+            raise self._error(f"expected {op!r}")
         self.i += 1
 
-    def _at_end(self):
-        return self.i >= len(self.toks)
+    def _end(self):
+        tok = self.toks[self.i]
+        if tok:
+            raise self._error(f"unexpected {tok!r}")
 
     def _nested(self, parse):
         """parse() one nesting level deeper, within _MAX_DEPTH."""
         if self.depth == _MAX_DEPTH:
-            tok = self._peek()
-            pos = tok.pos if tok else None
-            raise SeriesSyntaxError(f"nested deeper than {_MAX_DEPTH} levels", pos=pos)
+            raise self._error(f"nested deeper than {_MAX_DEPTH} levels")
         self.depth += 1
         out = parse()
         self.depth -= 1
         return out
 
-    # -- integers -------------------------------------------------------
+    def _int(self, tok):
+        try:
+            return int(tok)
+        except ValueError as exc:  # past Python's int-string limit
+            raise self._error(f"integer of {len(tok)} digits is too long") from exc
 
     def _integer(self):
-        neg = self._accept_op("-")
-        if not neg:
-            self._accept_op("+")
-        tok = self._next()
-        if tok.kind != "int":
-            raise SeriesSyntaxError("expected an integer", pos=tok.pos)
-        try:
-            v = int(tok.text)
-        except ValueError as exc:
-            raise _too_long(tok) from exc
-        return -v if neg else v
+        sign = self.toks[self.i]
+        if sign == "-" or sign == "+":
+            self.i += 1
+        tok = self.toks[self.i]
+        if not tok.isdigit():
+            raise self._error("expected an integer" if tok else "unexpected end of input")
+        v = self._int(tok)
+        self.i += 1
+        return -v if sign == "-" else v
 
     # -- coefficient (field element) expressions ------------------------
 
-    def _elem_stops_mul(self):
-        """Does '*' at the cursor end the coefficient expression?"""
-        nxt = self._peek(1)
-        if nxt is None:
-            return False
-        if nxt.kind == "ident" and (
-            nxt.text == "x" or nxt.text == "O" or nxt.text in _CALL_NAMES
-        ):
-            return True
-        return self.eval_mode and nxt.kind == "op" and nxt.text == "("
-
     def elem_sum(self):
         left = self.elem_mul()
+        toks = self.toks
         while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op" or tok.text not in "+-":
+            op = toks[self.i]
+            if op == "+":
+                self.i += 1
+                left = left + self.elem_mul()
+            elif op == "-":
+                self.i += 1
+                left = left - self.elem_mul()
+            else:
                 return left
-            self.i += 1
-            right = self.elem_mul()
-            left = left + right if tok.text == "+" else left - right
 
     def elem_mul(self):
         left = self._elem_unary()
+        toks = self.toks
         while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op" or tok.text not in "*/":
+            op = toks[self.i]
+            if op == "*":
+                nxt = toks[self.i + 1]
+                if nxt in _SERIES_NAMES or (nxt == "(" and self.eval_mode):
+                    return left
+                self.i += 1
+                left = left * self._elem_unary()
+            elif op == "/":
+                self.i += 1
+                left = left / self._elem_unary()
+            else:
                 return left
-            if tok.text == "*" and self._elem_stops_mul():
-                return left
-            self.i += 1
-            right = self._elem_unary()
-            left = left * right if tok.text == "*" else left / right
 
     def _elem_unary(self):
-        if self._accept_op("-"):
+        op = self.toks[self.i]
+        if op == "-":
+            self.i += 1
             return -self._nested(self._elem_unary)
-        if self._accept_op("+"):
+        if op == "+":
+            self.i += 1
             return self._nested(self._elem_unary)
-        return self._elem_pow()
-
-    def _elem_pow(self):
         base = self._elem_atom()
-        if self._accept_op("^"):
-            e = self._integer()
-            if e < 0:
-                return (base ** (-e)).inverse()
-            return base**e
-        return base
+        if self.toks[self.i] != "^":
+            return base
+        self.i += 1
+        e = self._integer()
+        if self.max_power is not None and abs(e) > self.max_power:
+            raise self._error(f"power {e} is past the budget of {self.max_power}", self.i - 1)
+        return (base ** (-e)).inverse() if e < 0 else base**e
 
     def _elem_atom(self):
-        tok = self._next()
-        if tok.kind == "int":
-            try:
-                return self.ctx.from_int(int(tok.text))
-            except ValueError as exc:
-                raise _too_long(tok) from exc
-        if tok.kind == "ident":
-            if tok.text == self.var:
-                return self.ctx.gen()
-            if tok.text == "x":
-                raise SeriesSyntaxError(
-                    "x cannot appear inside a coefficient", pos=tok.pos
-                )
-            raise SeriesSyntaxError(f"unknown symbol {tok.text!r}", pos=tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self._nested(self.elem_sum)
-            self._expect_op(")")
-            return inner
-        raise SeriesSyntaxError(f"unexpected {tok.text!r}", pos=tok.pos)
+        tok = self.toks[self.i]
+        if tok.isdigit():
+            out = self.ctx.from_int(self._int(tok))
+        elif tok == self.var:
+            out = self.ctx.gen()
+        elif tok == "(":
+            self.i += 1
+            out = self._nested(self.elem_sum)
+            self._take(")")
+            return out
+        elif not tok:
+            raise self._error("unexpected end of input")
+        elif tok == "x":
+            raise self._error("x cannot appear inside a coefficient")
+        elif tok.isidentifier():
+            raise self._error(f"unknown symbol {tok!r}")
+        else:
+            raise self._error(f"unexpected {tok!r}")
+        self.i += 1
+        return out
 
     # -- strict series --------------------------------------------------
 
     def _xpow(self):
-        tok = self._next()
-        if tok.kind != "ident" or tok.text != "x":
-            raise SeriesSyntaxError("expected x", pos=tok.pos)
-        if self._accept_op("^"):
-            return self._integer()
-        return 1
+        tok = self.toks[self.i]
+        if tok != "x":
+            raise self._error("expected x" if tok else "unexpected end of input")
+        self.i += 1
+        if self.toks[self.i] != "^":
+            return 1
+        self.i += 1
+        return self._integer()
 
     def _big_oh(self):
-        self._expect_op("(")
+        self.i += 1  # past the O
+        self._take("(")
         e = self._xpow()
-        self._expect_op(")")
+        self._take(")")
         return e
 
     def series(self):
         """Sum of coef*x^e terms with an optional trailing O(x^k)."""
+        toks = self.toks
         terms = []
         cap = None
-        negate = self._accept_op("-")
+        negate = toks[self.i] == "-"
+        self.i += negate
         while True:
-            tok = self._peek()
-            if tok is None:
-                raise SeriesSyntaxError("expected a series term")
-            if tok.kind == "ident" and tok.text == "O":
-                self.i += 1
+            tok = toks[self.i]
+            if not tok:
+                raise self._error("expected a series term")
+            if tok == "O":
                 cap = self._big_oh()
                 break
             exp, coef = self._series_term()
             terms.append((exp, -coef if negate else coef))
-            if self._accept_op("+"):
-                negate = False
-            elif self._accept_op("-"):
-                negate = True
-            else:
+            op = toks[self.i]
+            if op != "+" and op != "-":
                 break
-        if not self._at_end():
-            tok = self._peek()
-            raise SeriesSyntaxError(f"unexpected {tok.text!r}", pos=tok.pos)
-        return self._assemble(terms, cap)
-
-    def _series_term(self):
-        tok = self._peek()
-        if tok.kind == "ident" and tok.text == "x":
-            return self._xpow(), self.ctx.one()
-        coef = self.elem_mul()
-        nxt = self._peek()
-        if (
-            nxt is not None
-            and nxt.kind == "op"
-            and nxt.text == "*"
-            and self._peek(1) is not None
-            and self._peek(1).kind == "ident"
-            and self._peek(1).text == "x"
-        ):
             self.i += 1
-            return self._xpow(), coef
-        return 0, coef
-
-    def _check_width(self, val, prec):
-        if prec - val > _MAX_WIDTH:
-            raise SeriesSyntaxError(
-                f"window x^{val} .. O(x^{prec}) is wider than {_MAX_WIDTH} coefficients"
-            )
-
-    def _assemble(self, terms, cap):
-        if terms:
-            val = min(e for e, _ in terms)
-            if cap is None:
-                cap = val + self.relprec
-            self._check_width(val, cap)
-        elif cap is None:
-            raise SeriesSyntaxError("empty series")
+            negate = op == "-"
+        self._end()
+        val = min((e for e, _ in terms), default=cap)  # no terms: O(x^cap) alone
+        if cap is None:
+            cap = val + self.relprec
+        _check_window(val, cap)
         try:
             return from_terms(self.ctx, terms, cap)
         except ExponentBeyondPrecision as exc:
             raise SeriesSyntaxError(str(exc)) from exc
 
+    def _series_term(self):
+        if self.toks[self.i] == "x":
+            return self._xpow(), self.ctx.one()
+        coef = self.elem_mul()
+        if self.toks[self.i] == "*" and self.toks[self.i + 1] == "x":
+            self.i += 1
+            return self._xpow(), coef
+        return 0, coef
+
     # -- eval expressions -------------------------------------------------
 
     def eval_expr(self):
         out = self._eval_sum()
-        if not self._at_end():
-            tok = self._peek()
-            raise SeriesSyntaxError(f"unexpected {tok.text!r}", pos=tok.pos)
+        self._end()
         return out
 
     def _eval_sum(self):
-        left = self._eval_product(self._accept_op("-"))
+        toks = self.toks
+        negate = toks[self.i] == "-"
+        self.i += negate
+        left = self._eval_product(negate)
         while True:
-            if self._accept_op("+"):
-                left = left + self._eval_product(False)
-            elif self._accept_op("-"):
-                left = left + self._eval_product(True)
-            else:
+            op = toks[self.i]
+            if op != "+" and op != "-":
                 return left
+            self.i += 1
+            left = left + self._eval_product(op == "-")
 
     def _eval_product(self, negate):
         left = self._eval_atom()
         if negate:
             left = -left
-        while self._accept_op("*"):
+        while self.toks[self.i] == "*":
+            self.i += 1
             left = left * self._eval_atom()
         return left
 
     def _eval_atom(self):
-        tok = self._peek()
-        if tok is None:
-            raise SeriesSyntaxError("expected an expression")
-        if tok.kind == "ident":
-            if tok.text == "inv":
-                self.i += 1
-                self._expect_op("(")
-                inner = self._nested(self._eval_sum)
-                self._expect_op(")")
-                return inner.inverse()
-            if tok.text == "comm":
-                self.i += 1
-                self._expect_op("(")
-                first = self._nested(self._eval_sum)
-                self._expect_op(",")
-                second = self._nested(self._eval_sum)
-                self._expect_op(")")
-                return commutator(first, second)
-            if tok.text == "O":
-                self.i += 1
-                return zero(self.ctx, self._big_oh())
-            if tok.text == "x":
-                e = self._xpow()
-                if self.relprec > _MAX_WIDTH:
-                    self._check_width(e, e + self.relprec)
-                return term(self.ctx, self.ctx.one(), e, e + self.relprec)
-        if tok.kind == "op" and tok.text == "(" and self._paren_holds_series():
+        tok = self.toks[self.i]
+        if tok == "inv" or tok == "comm":
+            self.i += 1
+            self._take("(")
+            first = self._nested(self._eval_sum)
+            if tok == "inv":
+                self._take(")")
+                return first.inverse()
+            self._take(",")
+            second = self._nested(self._eval_sum)
+            self._take(")")
+            return commutator(first, second)
+        if tok == "O":
+            e = self._big_oh()
+            _check_window(e, e)
+            return zero(self.ctx, e)
+        if tok == "(" and self._paren_holds_series():
             self.i += 1
             inner = self._nested(self._eval_sum)
-            self._expect_op(")")
+            self._take(")")
             return inner
+        if not tok:
+            raise self._error("expected an expression")
         exp, coef = self._series_term()
-        return self._assemble_atom(exp, coef)
-
-    def _assemble_atom(self, exp, coef):
-        prec = exp + self.relprec
-        if self.relprec > _MAX_WIDTH:  # an atom's window is relprec wide
-            self._check_width(exp, prec)
+        prec = exp + self.relprec  # an atom's window is relprec wide
+        _check_window(exp, prec)
         return from_terms(self.ctx, [(exp, coef)], prec)
 
     def _paren_holds_series(self):
-        """Look inside a parenthesised group for series-level symbols."""
+        """Look inside a parenthesised group for series-level names."""
         depth = 0
         for tok in self.toks[self.i :]:
-            if tok.kind == "op" and tok.text == "(":
+            if tok in _SERIES_NAMES:
+                return True
+            if tok == "(":
                 depth += 1
-            elif tok.kind == "op" and tok.text == ")":
+            elif tok == ")":
                 depth -= 1
                 if depth == 0:
                     return False
-            elif tok.kind == "ident" and (
-                tok.text == "x" or tok.text == "O" or tok.text in _CALL_NAMES
-            ):
-                return True
         return False
 
 
 def parse_series(ctx, text, relprec=_DEFAULT_PREC):
-    return _Parser(ctx, _tokenize(text), relprec).series()
+    return _Parser(ctx, text, relprec).series()
 
 
 def parse_element(ctx, text):
-    parser = _Parser(ctx, _tokenize(text), 0)
+    parser = _Parser(ctx, text, 0)
     out = parser.elem_sum()
-    if not parser._at_end():
-        tok = parser._peek()
-        raise SeriesSyntaxError(f"unexpected {tok.text!r}", pos=tok.pos)
+    parser._end()
     return out
 
 
 def evaluate(ctx, text, relprec=_DEFAULT_PREC):
-    return _Parser(ctx, _tokenize(text), relprec, eval_mode=True).eval_expr()
+    return _Parser(ctx, text, relprec, eval_mode=True).eval_expr()
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +416,20 @@ def series_to_obj(s):
     return {"val": s.val, "prec": s.prec, "coeffs": [str(c) for c in s.coeffs]}
 
 
+def _typed(obj, key, kind):
+    """obj[key], which must be exactly a kind (so a bool is no int)."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key!r} is {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
 def obj_to_series(ctx, obj):
-    coeffs = [parse_element(ctx, c) for c in obj["coeffs"]]
-    return SkewSeries(ctx, obj["val"], coeffs, obj["prec"])
+    val, prec = _typed(obj, "val", int), _typed(obj, "prec", int)
+    _check_window(val, prec, ValueError)
+    # parse_element raises TypeError for a coefficient that is not a str
+    coeffs = [parse_element(ctx, c) for c in _typed(obj, "coeffs", list)]
+    return SkewSeries(ctx, val, coeffs, prec)
 
 
 def certificate_to_json(cert):
@@ -499,15 +449,16 @@ def certificate_to_json(cert):
 def certificate_from_json(text):
     try:
         obj = json.loads(text)
-        ctx = build_ctx(obj["field"], obj["sigma"])
-        pairs = tuple(
-            (obj_to_series(ctx, b), obj_to_series(ctx, w)) for b, w in obj["pairs"]
-        )
+        ctx = build_ctx(_typed(obj, "field", str), _typed(obj, "sigma", str))
+        pairs = _typed(obj, "pairs", list)
+        if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
+            raise TypeError("'pairs' holds something other than [b, w] lists")
+        pairs = tuple((obj_to_series(ctx, b), obj_to_series(ctx, w)) for b, w in pairs)
         return Certificate(
             input=obj_to_series(ctx, obj["input"]),
             pairs=pairs,
-            method=obj["method"],
-            check_prec=obj["prec"],
+            method=_typed(obj, "method", str),
+            check_prec=_typed(obj, "prec", int),
             experimental=bool(obj.get("experimental", False)),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
@@ -606,7 +557,7 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SeriesSyntaxError, FieldSpecError) as exc:
+    except (SeriesSyntaxError, FieldSpecError, OutputTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnsupportedOrder, IdentityAutomorphism) as exc:

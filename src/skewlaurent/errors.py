@@ -81,6 +81,10 @@ class DecompositionError(SkewLaurentError):
     """Internal failure: a constructed certificate did not verify."""
 
 
+class OutputTooLarge(SkewLaurentError):
+    """A result holds an integer with more digits than Python prints."""
+
+
 class SeriesSyntaxError(SkewLaurentError):
     """Parse error in a series, element, or field spec string."""
 

@@ -46,6 +46,7 @@ from .errors import (
     InfiniteOrder,
     NoWitness,
     NotInL,
+    OutputTooLarge,
     UnsupportedOrder,
     ZeroNotInvertible,
 )
@@ -58,11 +59,17 @@ from .linalg import (
     kernel_from_columns,
     particular_solver,
     rank_of_vectors,
-    solve_from_columns,
 )
 from .packed import PackedGF2, PackedOddField
 
 _TABLE_LIMIT = 1 << 16
+# Field budgets: _is_prime is trial division and PackedOddField keeps a
+# table of p inverses, so p stays below _P_LIMIT; Rabin's test and the
+# kernel grow with m, so q stays within _Q_LIMIT.  The default-modulus
+# search tries at most _SEARCH_LIMIT candidates (GF(2^32) needs 142).
+_P_LIMIT = 1 << 16
+_Q_LIMIT = 1 << 64
+_SEARCH_LIMIT = 1024
 _WITNESS_SEED = "normal-basis-search"
 
 
@@ -143,8 +150,9 @@ def _is_irreducible(mod, p):
 
 
 def _search_irreducible(p, m):
-    """First monic irreducible of degree m, by lexicographic constant-first scan."""
-    for v in range(p**m):
+    """First monic irreducible of degree m among the first _SEARCH_LIMIT
+    candidates, by lexicographic constant-first scan."""
+    for v in range(min(p**m, _SEARCH_LIMIT)):
         cs, rem = [], v
         for _ in range(m):
             rem, d = divmod(rem, p)
@@ -152,7 +160,10 @@ def _search_irreducible(p, m):
         cand = tuple(cs) + (1,)
         if _is_irreducible(cand, p):
             return cand
-    raise FieldSpecError(f"no irreducible polynomial of degree {m} over GF({p})")
+    raise FieldSpecError(
+        f"no irreducible polynomial of degree {m} over GF({p}) among the first "
+        f"{_SEARCH_LIMIT} candidates; pass a modulus as ';poly=c0,c1,...'"
+    )
 
 
 # Standard (Conway) polynomials for common small fields; ascending coefficients.
@@ -251,12 +262,9 @@ class FieldCtx:
         """sum_j coeffs[j]*basis[j] for k0 scalars coeffs, basis as in tables."""
         raise InfiniteOrder("k0-linear algebra requires finite sigma order")
 
-    def solve_k0_linear(self, columns, rhs):
-        """Particular solution over k0 (free variables zero), or None."""
-        return solve_from_columns(columns, rhs, self.k0_scalars())
-
     def k0_solver(self, columns):
-        """solve_k0_linear for fixed columns, as a function of rhs."""
+        """The particular solution over k0 (free variables zero) of the
+        system with these columns, or None, as a function of rhs."""
         return particular_solver(columns, self.k0_scalars())
 
     def is_k0_independent(self, elems):
@@ -406,10 +414,14 @@ class FiniteFieldCtx(FieldCtx):
     """
 
     def __init__(self, p, m, frob_power=1, modulus=None):
+        if p >= _P_LIMIT:
+            raise FieldSpecError(f"characteristic {p} is past the limit p < 2^16")
         if not _is_prime(p):
             raise FieldSpecError(f"{p} is not prime")
         if m < 1:
             raise FieldSpecError("extension degree must be positive")
+        if m > 64 or p**m > _Q_LIMIT:  # m > 64 also keeps p**m from running long
+            raise FieldSpecError(f"GF({p}^{m}) is past the limit p^m <= 2^64")
         if frob_power < 1:
             raise FieldSpecError("Frobenius power must be a positive integer")
         e = frob_power % m
@@ -979,9 +991,12 @@ class RatFunc:
 
     def __str__(self):
         lead = self.d[-1]
-        if len(self.d) == 1:
-            return _qpoly_str(self.n, lead)
-        return f"({_qpoly_str(self.n, lead)})/({_qpoly_str(self.d, lead)})"
+        try:
+            if len(self.d) == 1:
+                return _qpoly_str(self.n, lead)
+            return f"({_qpoly_str(self.n, lead)})/({_qpoly_str(self.d, lead)})"
+        except ValueError as exc:  # past Python's int-string limit
+            raise OutputTooLarge("a Q(t) coefficient has too many digits to print") from exc
 
     def __repr__(self):
         return f"RatFunc({self})"

@@ -138,13 +138,10 @@ def rref(rows, scalars):
     return rows, pivots
 
 
-def solve_from_columns(columns, rhs, scalars):
-    """Particular solution x of sum_j x[j]*columns[j] = rhs (free vars zero), or None."""
-    return particular_solver(columns, scalars)(rhs)
-
-
 def particular_solver(columns, scalars):
-    """solve_from_columns for fixed (nonempty) columns, as a function of rhs.
+    """The particular solution x of sum_j x[j]*columns[j] = rhs (free
+    variables zero), or None, for fixed (nonempty) columns, as a function
+    of rhs.
 
     Eliminating [columns | I] once records the row operations E; then
     E*rhs holds the pivot values on top and, below them, entries that

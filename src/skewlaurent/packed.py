@@ -23,6 +23,7 @@ ZeroNotInvertible for an element sharing a factor with f.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul, xor
 
 from .errors import ZeroNotInvertible
@@ -204,6 +205,13 @@ class PackedGF2(PackedField):
         return apply
 
 
+@lru_cache(maxsize=4)
+def _inverses_mod(p):
+    """(0, 1/1, ..., 1/(p-1)) mod p, shared by the kernels of one p: the
+    default-modulus search builds a kernel per candidate."""
+    return (0,) + tuple(pow(c, -1, p) for c in range(1, p))
+
+
 class PackedOddField(PackedField):
     """GF(p^m), p odd, on Kronecker-packed ints: coefficient i in slot i.
 
@@ -222,7 +230,7 @@ class PackedOddField(PackedField):
         self.x = 1 << self._bits
         self._fill = self._join([p] * m)  # p - a_i >= 1 in every slot
         self._f = self._join(modulus)
-        self._inv_p = [0] + [pow(c, -1, p) for c in range(1, p)]
+        self._inv_p = _inverses_mod(p)
         top = self._bits * m
         x_m = self._join([-c % p for c in modulus[:m]])
         fold = []

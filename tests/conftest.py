@@ -2,7 +2,7 @@ import pytest
 
 from skewlaurent.errors import NotInL, NotInSpan
 from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx
-from skewlaurent.linalg import rank_of_vectors, solve_from_columns
+from skewlaurent.linalg import particular_solver, rank_of_vectors
 from skewlaurent.skew_series import SkewSeries
 
 
@@ -72,7 +72,7 @@ def coords(ctx, a, basis):
     """Coordinates of a against a k0-independent basis, or NotInSpan."""
     scalars = ctx.k0_scalars()
     cols = [ctx.k0_vec(b) for b in basis]
-    sol = solve_from_columns(cols, ctx.k0_vec(a), scalars)
+    sol = particular_solver(cols, scalars)(ctx.k0_vec(a))
     if sol is None:
         raise NotInSpan("element is not in the k0-span of the given basis")
     return sol

@@ -136,6 +136,49 @@ def test_parse_error_positions(gf34):
     assert "position 6" in str(exc.value)
 
 
+# (parser, field, text, message, position), captured from the
+# character-at-a-time tokenizer this parser replaced
+_MALFORMED = [
+    (parse_series, "gf", "2*x^3 + g*x^", "unexpected end of input", None),
+    (parse_series, "gf", "x^1 +", "expected a series term", None),
+    (parse_series, "gf", "", "expected a series term", None),
+    (parse_series, "gf", "O(x^2) + x^1", "unexpected '+' (at position 7)", 7),
+    (parse_series, "gf", "g^x", "expected an integer (at position 2)", 2),
+    (parse_series, "gf", "x^--1", "expected an integer (at position 3)", 3),
+    (parse_series, "gf", "(g+1*x^2", "expected ')' (at position 4)", 4),
+    (parse_series, "gf", "(x+1)*x^2", "x cannot appear inside a coefficient (at position 1)", 1),
+    (parse_series, "gf", "h*x", "unknown symbol 'h' (at position 0)", 0),
+    (parse_series, "qt", "g*x^0", "unknown symbol 'g' (at position 0)", 0),
+    (parse_series, "gf", "2 x^3", "unexpected 'x' (at position 2)", 2),
+    (parse_series, "gf", "O x^2", "expected '(' (at position 2)", 2),
+    (parse_series, "gf", "x^3 + O(y^4)", "expected x (at position 8)", 8),
+    (evaluate, "gf", "comm(x^1)", "expected ',' (at position 8)", 8),
+    (evaluate, "gf", "inv(x^1", "expected ')'", None),
+    (evaluate, "gf", "x^1 * * x", "unexpected '*' (at position 6)", 6),
+    (evaluate, "gf", "x^1 +", "expected an expression", None),
+    (evaluate, "gf", "comm(x, g*x) )", "unexpected ')' (at position 13)", 13),
+    (parse_element, "qt", "(t+1)/", "unexpected end of input", None),
+    (parse_element, "qt", "t\x1c+\x1f1 $", "unexpected character '$' (at position 6)", 6),
+]
+
+
+@pytest.mark.parametrize("parse, field, text, message, pos", _MALFORMED)
+def test_parse_error_messages_and_positions(gf34, qt_shift, parse, field, text, message, pos):
+    with pytest.raises(SeriesSyntaxError) as exc:
+        parse(gf34 if field == "gf" else qt_shift, text)
+    assert str(exc.value) == message and exc.value.pos == pos
+
+
+def test_parse_rejects_non_ascii(gf34):
+    # "²" passes str.isdigit and int("٣") is 3, but neither is ASCII
+    for text, char, pos in (("x^\u00b2", "\u00b2", 2), ("\u0663*x", "\u0663", 0), ("\u00e9", "\u00e9", 0)):
+        with pytest.raises(SeriesSyntaxError) as exc:
+            parse_series(gf34, text)
+        assert str(exc.value) == f"unexpected character {char!r} (at position {pos})"
+    code, out, err = run_cli(["eval", "--field", "gf(3^4)", "--sigma", "frob", "x^\u00b2"])
+    assert code == 2 and out == "" and err.startswith("error: unexpected character")
+
+
 def test_print_parse_round_trip(gf9, gf34, gf28, qt_shift):
     rng = random.Random("print-parse")
     scale = RationalFunctionCtx("scale", scale=random.Random("s").choice([3, -2]))
@@ -250,6 +293,38 @@ def test_malformed_certificates_rejected(gf34):
     for text in ("{not json", json.dumps(broken), json.dumps([1, 2])):
         with pytest.raises(SeriesSyntaxError):
             certificate_from_json(text)
+
+
+def test_cli_verify_rejects_certificates_of_the_wrong_types():
+    code, out, _ = run_cli(
+        ["decompose", "--field", "gf(3^4)", "--sigma", "frob", "(g)*x^-2 + x + O(x^10)"]
+    )
+    assert code == 0
+    good = json.loads(out)
+    edits = {
+        "field is an int": lambda c: c.update(field=5),
+        "sigma is null": lambda c: c.update(sigma=None),
+        "method is a list": lambda c: c.update(method=["Order4L"]),
+        "prec is a float": lambda c: c.update(prec=10.0),
+        "val is a float": lambda c: c["input"].update(val=-2.0),
+        "prec is a bool": lambda c: c["pairs"][0][0].update(prec=True),
+        "val past the budget": lambda c: c["input"].update(val=-5000, coeffs=["0"] * 5010),
+        "coeffs is a str": lambda c: c["input"].update(coeffs="g"),
+        "a coefficient is an int": lambda c: c["input"]["coeffs"].__setitem__(0, 1),
+        "pairs is an object": lambda c: c.update(pairs={"b": 1, "w": 2}),
+        "a pair of three": lambda c: c["pairs"][0].append(c["pairs"][0][0]),
+        "a pair is an object": lambda c: c["pairs"].__setitem__(0, {"b": 1, "w": 2}),
+        "input is a list": lambda c: c.update(input=[]),
+    }
+    for name, edit in edits.items():
+        cert = json.loads(json.dumps(good))
+        edit(cert)
+        code, out, err = run_cli(["verify", "-"], stdin_text=json.dumps(cert))
+        assert code == 2 and out == "", name
+        assert err.startswith("error: malformed certificate: "), name
+        assert "Traceback" not in err
+    code, out, _ = run_cli(["verify", "-"], stdin_text=json.dumps(good))
+    assert code == 0 and out.startswith("valid")
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +462,62 @@ def test_cli_rejects_nesting_past_the_budget():
     ):
         code, _, _ = run_cli(argv)
         assert code == 0, argv[:3]
+
+
+def test_cli_rejects_exponents_past_the_budget():
+    qt2 = ["--field", "qt", "--sigma", "scale:2"]
+    gf = ["--field", "gf(3^4)", "--sigma", "frob"]
+    cases = [
+        ["decompose", *qt2, "t*x^100000000 + O(x^100000002)"],
+        ["decompose", *qt2, "x^-4097 + O(x^-4090)"],
+        ["trace", *gf, "O(x^4097)"],
+        ["eval", *qt2, "x^5000 * t*x^0"],
+        ["eval", *qt2, "(t)*x^-5000"],
+        ["eval", *gf, "O(x^-9000) + x"],
+    ]
+    for argv in cases:
+        code, out, err = run_cli(argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: exponent x^")
+        assert "is outside x^-4096 .. x^4096" in err
+    # Q(t) powers, but not finite-field ones, are capped at 512
+    for power, pos in (("513", 6), ("-513", 7)):
+        code, out, err = run_cli(["eval", *qt2, f"(t+1)^{power}*x"])
+        assert code == 2 and err == f"error: power {power} is past the budget of 512 (at position {pos})\n"
+    for argv in (
+        ["decompose", *qt2, "t*x^4096 + O(x^4098)"],
+        ["decompose", *qt2, "t*x^-4096 + O(x^-4094)"],
+        ["eval", "--field", "qt", "--sigma", "shift", "(t+1)^-512*x"],
+        ["eval", *gf, f"g^{10**40}*x"],
+    ):
+        code, _, _ = run_cli(argv)
+        assert code == 0, argv
+
+
+def test_cli_reports_results_too_large_to_print():
+    # 1000^3000 has 9001 digits, past Python's int-string limit
+    argv = ["eval", "--field", "qt", "--sigma", "scale:1000", "x^3000 * t*x^0"]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err == "error: a Q(t) coefficient has too many digits to print\n"
+
+
+def test_cli_rejects_fields_past_the_budget():
+    cases = {
+        "gf(999999999989^2)": "characteristic 999999999989 is past the limit p < 2^16",
+        "gf(4294967291^2)": "characteristic 4294967291 is past the limit p < 2^16",
+        "gf(2^256)": "GF(2^256) is past the limit p^m <= 2^64",
+        "gf(3^128)": "GF(3^128) is past the limit p^m <= 2^64",
+        f"gf(2^{10**100})": f"GF(2^{10**100}) is past the limit p^m <= 2^64",
+        # p = 2 mod 3 makes every x^3 + c reducible
+        "gf(10007^3)": "no irreducible polynomial of degree 3 over GF(10007) among the "
+        "first 1024 candidates; pass a modulus as ';poly=c0,c1,...'",
+    }
+    for field, message in cases.items():
+        code, out, err = run_cli(["trace", "--field", field, "--sigma", "frob", "x"])
+        assert code == 2 and out == "" and err == f"error: {message}\n", field
+    for field in ("gf(2^64)", "gf(65521^4)", "gf(10007^3);poly=1,1,0,1"):
+        assert isinstance(build_ctx(field, "frob"), FiniteFieldCtx)
 
 
 def test_cli_exit_code_3_for_unsupported():
