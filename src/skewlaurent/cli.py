@@ -46,9 +46,14 @@ from .skew_series import SkewSeries, commutator, from_terms, zero
 _DEFAULT_PREC = 32
 # Largest coefficient window (prec - val) a parsed series may have.
 _MAX_WIDTH = 1 << 16
-# Largest |val| of a series from text or a certificate: sigma^val costs
-# grow with it (scale:a multiplies by a^val).
+# Largest |val| of a series from text, of an eval product, or of a
+# certificate's input: sigma^val costs grow with it (scale:a multiplies
+# by a^val).
 _MAX_EXPONENT = 1 << 12
+# The budgets of a certificate's witness series exceed the input's by
+# this much: decompose gives them valuations up to 2*|val| + 1 and
+# windows up to 2 wider than the input's.
+_WITNESS_SLACK = _MAX_EXPONENT + 2
 # Largest |e| in a Q(t) coefficient power c^e.
 _MAX_QT_POWER = 512
 # Deepest nesting of parentheses, unary signs, inv( and comm( the parser
@@ -113,12 +118,14 @@ _BAD_CHAR_RE = re.compile(r"[^\t-\r\x1c-\x20\w+\-*/^(),]", re.ASCII)
 _SERIES_NAMES = frozenset(("x", "O", "inv", "comm"))
 
 
-def _check_window(val, prec, error=SeriesSyntaxError):
-    """The budgets on a series from x^val to O(x^prec): its width, and val."""
-    if prec - val > _MAX_WIDTH:
-        raise error(f"window x^{val} .. O(x^{prec}) is wider than {_MAX_WIDTH} coefficients")
-    if not -_MAX_EXPONENT <= val <= _MAX_EXPONENT:
-        raise error(f"exponent x^{val} is outside x^-{_MAX_EXPONENT} .. x^{_MAX_EXPONENT}")
+def _check_window(val, prec, error=SeriesSyntaxError, slack=0):
+    """The budgets on a series from x^val to O(x^prec), each exceeded by at
+    most slack: its width, and |val|."""
+    width, top = _MAX_WIDTH + slack, _MAX_EXPONENT + slack
+    if prec - val > width:
+        raise error(f"window x^{val} .. O(x^{prec}) is wider than {width} coefficients")
+    if not -top <= val <= top:
+        raise error(f"exponent x^{val} is outside x^-{top} .. x^{top}")
 
 
 class _Parser:
@@ -306,9 +313,13 @@ class _Parser:
         val = min((e for e, _ in terms), default=cap)  # no terms: O(x^cap) alone
         if cap is None:
             cap = val + self.relprec
-        _check_window(val, cap)
+        return self._from_terms(terms, val, cap)
+
+    def _from_terms(self, terms, val, prec):
+        """from_terms within the window budget, failing as SeriesSyntaxError."""
+        _check_window(val, prec)
         try:
-            return from_terms(self.ctx, terms, cap)
+            return from_terms(self.ctx, terms, prec)
         except ExponentBeyondPrecision as exc:
             raise SeriesSyntaxError(str(exc)) from exc
 
@@ -347,6 +358,7 @@ class _Parser:
         while self.toks[self.i] == "*":
             self.i += 1
             left = left * self._eval_atom()
+            _check_window(left.val, left.val)  # a product adds the valuations
         return left
 
     def _eval_atom(self):
@@ -374,9 +386,8 @@ class _Parser:
         if not tok:
             raise self._error("expected an expression")
         exp, coef = self._series_term()
-        prec = exp + self.relprec  # an atom's window is relprec wide
-        _check_window(exp, prec)
-        return from_terms(self.ctx, [(exp, coef)], prec)
+        # an atom's window is relprec wide
+        return self._from_terms([(exp, coef)], exp, exp + self.relprec)
 
     def _paren_holds_series(self):
         """Look inside a parenthesised group for series-level names."""
@@ -424,9 +435,9 @@ def _typed(obj, key, kind):
     return value
 
 
-def obj_to_series(ctx, obj):
+def obj_to_series(ctx, obj, slack=0):
     val, prec = _typed(obj, "val", int), _typed(obj, "prec", int)
-    _check_window(val, prec, ValueError)
+    _check_window(val, prec, ValueError, slack)
     # parse_element raises TypeError for a coefficient that is not a str
     coeffs = [parse_element(ctx, c) for c in _typed(obj, "coeffs", list)]
     return SkewSeries(ctx, val, coeffs, prec)
@@ -453,7 +464,10 @@ def certificate_from_json(text):
         pairs = _typed(obj, "pairs", list)
         if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
             raise TypeError("'pairs' holds something other than [b, w] lists")
-        pairs = tuple((obj_to_series(ctx, b), obj_to_series(ctx, w)) for b, w in pairs)
+        pairs = tuple(
+            (obj_to_series(ctx, b, _WITNESS_SLACK), obj_to_series(ctx, w, _WITNESS_SLACK))
+            for b, w in pairs
+        )
         return Certificate(
             input=obj_to_series(ctx, obj["input"]),
             pairs=pairs,

@@ -63,11 +63,11 @@ from .linalg import (
 from .packed import PackedGF2, PackedOddField
 
 _TABLE_LIMIT = 1 << 16
-# Field budgets: _is_prime is trial division and PackedOddField keeps a
-# table of p inverses, so p stays below _P_LIMIT; Rabin's test and the
-# kernel grow with m, so q stays within _Q_LIMIT.  The default-modulus
-# search tries at most _SEARCH_LIMIT candidates (GF(2^32) needs 142).
-_P_LIMIT = 1 << 16
+# Field budgets: _is_prime is trial division, so p stays below _P_LIMIT;
+# Rabin's test and the kernel grow with m, so q stays within _Q_LIMIT.
+# The default-modulus search tries at most _SEARCH_LIMIT candidates
+# (GF(2^32) needs 142).
+_P_LIMIT = 1 << 32
 _Q_LIMIT = 1 << 64
 _SEARCH_LIMIT = 1024
 _WITNESS_SEED = "normal-basis-search"
@@ -415,7 +415,7 @@ class FiniteFieldCtx(FieldCtx):
 
     def __init__(self, p, m, frob_power=1, modulus=None):
         if p >= _P_LIMIT:
-            raise FieldSpecError(f"characteristic {p} is past the limit p < 2^16")
+            raise FieldSpecError(f"characteristic {p} is past the limit p < 2^32")
         if not _is_prime(p):
             raise FieldSpecError(f"{p} is not prime")
         if m < 1:

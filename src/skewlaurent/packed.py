@@ -23,7 +23,6 @@ ZeroNotInvertible for an element sharing a factor with f.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import mul, xor
 
 from .errors import ZeroNotInvertible
@@ -205,13 +204,6 @@ class PackedGF2(PackedField):
         return apply
 
 
-@lru_cache(maxsize=4)
-def _inverses_mod(p):
-    """(0, 1/1, ..., 1/(p-1)) mod p, shared by the kernels of one p: the
-    default-modulus search builds a kernel per candidate."""
-    return (0,) + tuple(pow(c, -1, p) for c in range(1, p))
-
-
 class PackedOddField(PackedField):
     """GF(p^m), p odd, on Kronecker-packed ints: coefficient i in slot i.
 
@@ -230,7 +222,6 @@ class PackedOddField(PackedField):
         self.x = 1 << self._bits
         self._fill = self._join([p] * m)  # p - a_i >= 1 in every slot
         self._f = self._join(modulus)
-        self._inv_p = _inverses_mod(p)
         top = self._bits * m
         x_m = self._join([-c % p for c in modulus[:m]])
         fold = []
@@ -258,14 +249,14 @@ class PackedOddField(PackedField):
     def inv(self, a):
         if a == 0:
             raise ZeroNotInvertible("0 has no inverse")
-        bits, p, inv_p, split, join = self._bits, self.p, self._inv_p, self._split, self._join
+        bits, p, split, join = self._bits, self.p, self._split, self._join
         n = self.m + 1
         # invariants: s0*a = r0 and s1*a = r1 mod f
         r0, r1, s0, s1 = self._f, a, 0, 1
         d1 = (r1.bit_length() - 1) // bits
         while d1:
             d0 = (r0.bit_length() - 1) // bits
-            lead_inv = inv_p[r1 >> bits * d1]
+            lead_inv = pow(r1 >> bits * d1, -1, p)
             while d0 >= d1:
                 shift = bits * (d0 - d1)
                 c = p - (r0 >> bits * d0) * lead_inv % p
@@ -275,7 +266,7 @@ class PackedOddField(PackedField):
             if r0 == 0:  # r1 = gcd(a, f) is not constant: only for reducible f
                 raise ZeroNotInvertible("not a unit modulo the defining polynomial")
             r0, r1, s0, s1, d1 = r1, r0, s1, s0, d0
-        return self._reduce(s1 * inv_p[r1])
+        return self._reduce(s1 * pow(r1, -1, p))
 
     def digits(self, v):
         return tuple(self._split(v, self.m))

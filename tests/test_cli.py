@@ -315,6 +315,7 @@ def test_cli_verify_rejects_certificates_of_the_wrong_types():
         "a pair of three": lambda c: c["pairs"][0].append(c["pairs"][0][0]),
         "a pair is an object": lambda c: c["pairs"].__setitem__(0, {"b": 1, "w": 2}),
         "input is a list": lambda c: c.update(input=[]),
+        "a witness val past its budget": lambda c: c["pairs"][0][1].update(val=8195),
     }
     for name, edit in edits.items():
         cert = json.loads(json.dumps(good))
@@ -474,6 +475,10 @@ def test_cli_rejects_exponents_past_the_budget():
         ["eval", *qt2, "x^5000 * t*x^0"],
         ["eval", *qt2, "(t)*x^-5000"],
         ["eval", *gf, "O(x^-9000) + x"],
+        # each atom is within the budget, their product is not
+        ["eval", *qt2, "t*x^4096 * t*x^4096 * t*x^4096"],
+        ["eval", *gf, "x + x^-4096 * inv(x)"],
+        ["eval", *gf, "comm(x, g*x^0) * O(x^4097)"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
@@ -489,9 +494,30 @@ def test_cli_rejects_exponents_past_the_budget():
         ["decompose", *qt2, "t*x^-4096 + O(x^-4094)"],
         ["eval", "--field", "qt", "--sigma", "shift", "(t+1)^-512*x"],
         ["eval", *gf, f"g^{10**40}*x"],
+        ["eval", *qt2, "x^2048 * t*x^2048 * x^-4096 * x^-4096"],
     ):
         code, _, _ = run_cli(argv)
         assert code == 0, argv
+
+
+def test_cli_certificates_at_the_exponent_budget_verify():
+    # decompose gives witnesses valuations up to 2*|val| + 1 (8193 here);
+    # verify must take back every certificate decompose prints
+    qt2 = ["--field", "qt", "--sigma", "scale:2"]
+    gf = ["--field", "gf(3^4)", "--sigma", "frob"]
+    for argv in (
+        [*qt2, "t*x^4096 + O(x^4098)"],
+        [*qt2, "t*x^-4096 + O(x^-4094)"],
+        [*qt2, "t*x^2048 + O(x^2050)"],
+        [*gf, "x^4096 + O(x^4100)"],
+        [*gf, "g*x^-4096 + x^-4095 + O(x^-4090)"],
+        [*gf, "g*x^4094 + O(x^4098)"],
+        [*gf, "O(x^4096)"],
+    ):
+        code, cert, _ = run_cli(["decompose", *argv])
+        assert code == 0, argv
+        code, out, err = run_cli(["verify", "-"], stdin_text=cert)
+        assert code == 0 and out.startswith("valid: "), (argv, err)
 
 
 def test_cli_reports_results_too_large_to_print():
@@ -504,8 +530,8 @@ def test_cli_reports_results_too_large_to_print():
 
 def test_cli_rejects_fields_past_the_budget():
     cases = {
-        "gf(999999999989^2)": "characteristic 999999999989 is past the limit p < 2^16",
-        "gf(4294967291^2)": "characteristic 4294967291 is past the limit p < 2^16",
+        "gf(999999999989^2)": "characteristic 999999999989 is past the limit p < 2^32",
+        "gf(4294967311^2)": "characteristic 4294967311 is past the limit p < 2^32",
         "gf(2^256)": "GF(2^256) is past the limit p^m <= 2^64",
         "gf(3^128)": "GF(3^128) is past the limit p^m <= 2^64",
         f"gf(2^{10**100})": f"GF(2^{10**100}) is past the limit p^m <= 2^64",
@@ -516,7 +542,13 @@ def test_cli_rejects_fields_past_the_budget():
     for field, message in cases.items():
         code, out, err = run_cli(["trace", "--field", field, "--sigma", "frob", "x"])
         assert code == 2 and out == "" and err == f"error: {message}\n", field
-    for field in ("gf(2^64)", "gf(65521^4)", "gf(10007^3);poly=1,1,0,1"):
+    for field in (
+        "gf(2^64)",
+        "gf(65521^4)",
+        "gf(65537^2)",
+        "gf(4294967291^2)",
+        "gf(10007^3);poly=1,1,0,1",
+    ):
         assert isinstance(build_ctx(field, "frob"), FiniteFieldCtx)
 
 
@@ -535,6 +567,7 @@ def test_cli_exit_code_2_for_bad_input():
         ["eval", "--field", "qt", "--sigma", "scale:1/0", "x^1"],
         ["trace", "--field", "gf(3^2);poly=2,,1", "--sigma", "frob", "x^1"],
         ["trace", "--field", "gf(3^2);poly=2,-,1", "--sigma", "frob", "x^1"],
+        ["eval", "--field", "qt", "--sigma", "shift", "--prec", "-5", "x"],
         ["verify", "-"],
     ]
     for argv in cases:
