@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .decompose import Certificate, certificate_problem, decompose
 from .errors import (
+    CoefficientTooLarge,
     ExponentBeyondPrecision,
     FieldSpecError,
     IdentityAutomorphism,
@@ -571,7 +572,7 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SeriesSyntaxError, FieldSpecError, OutputTooLarge) as exc:
+    except (SeriesSyntaxError, FieldSpecError, OutputTooLarge, CoefficientTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnsupportedOrder, IdentityAutomorphism) as exc:

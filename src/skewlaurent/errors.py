@@ -85,6 +85,10 @@ class OutputTooLarge(SkewLaurentError):
     """A result holds an integer with more digits than Python prints."""
 
 
+class CoefficientTooLarge(SkewLaurentError):
+    """A Q(t) coefficient or gcd grew past the size budget."""
+
+
 class SeriesSyntaxError(SkewLaurentError):
     """Parse error in a series, element, or field spec string."""
 

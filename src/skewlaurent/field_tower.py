@@ -36,10 +36,11 @@ import itertools
 import random
 import weakref
 from fractions import Fraction
-from math import gcd
-from operator import add, mul
+from math import fsum, gcd
+from operator import add, mul, xor
 
 from .errors import (
+    CoefficientTooLarge,
     FieldMismatch,
     FieldSpecError,
     IdentityAutomorphism,
@@ -215,6 +216,50 @@ class FieldCtx:
     def sigma_spec(self):
         raise NotImplementedError
 
+    # -- series kernels ----------------------------------------------------
+    #
+    # SkewSeries multiplies and inverts through these two methods.  The
+    # base runs element loops with one sigma call per coefficient pair,
+    # which Q(t) keeps: its sigma has infinite order, so no row sigma^r(g)
+    # repeats.  FiniteFieldCtx overrides both with kernels on raw values.
+
+    def series_mul(self, f, g, prec):
+        """Coefficients of f*g from x^(f.val + g.val) to O(x^prec), for f
+        and g with nonempty windows."""
+        val = f.val + g.val
+        acc = [self.zero()] * (prec - val)
+        sigma = self.sigma
+        oval, ocoeffs = g.val, g.coeffs
+        for idx, fi in enumerate(f.coeffs):
+            if not fi:
+                continue
+            i = f.val + idx
+            jmax = prec - i  # exponent bound for the other factor
+            for jdx, gj in enumerate(ocoeffs):
+                j = oval + jdx
+                if j >= jmax:
+                    break
+                if gj:
+                    e = i + j - val
+                    acc[e] = acc[e] + fi * sigma(gj, i)
+        return acc
+
+    def series_inverse(self, a, gval, gprec):
+        """Coefficients from x^gval to O(x^gprec) of the inverse of the
+        series with window a (a[0] nonzero) from x^-gval; gprec - gval is
+        len(a)."""
+        sigma = self.sigma
+        inv_lead = a[0].inverse()
+        cs = []
+        for idx in range(gprec - gval):
+            acc = self.one() if idx == 0 else self.zero()
+            for idx2 in range(max(idx - len(a) + 1, 0), idx):
+                ai = a[idx - idx2]
+                if ai:
+                    acc = acc - cs[idx2] * sigma(ai, gval + idx2)
+            cs.append(acc * sigma(inv_lead, gval + idx))
+        return cs
+
     # -- witnesses ---------------------------------------------------------
 
     def find_witness(self, min_degree):
@@ -374,10 +419,11 @@ class FFElem:
         return self.value != 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        # an int never equals an element: equal objects must hash equal,
+        # and on GF(3^m) both 4 and 1 would equal from_int(1)
+        if not isinstance(other, FFElem):
             return NotImplemented
-        return self.value == o.value
+        return self.value == self._coerce(other).value
 
     def __hash__(self):
         return hash((self.ctx.key, self.value))
@@ -499,6 +545,8 @@ class FiniteFieldCtx(FieldCtx):
                 images = [sig1(v) for v in images]
                 maps.append(kern.linear(images))
         self._add, self._neg, self._mul, self._inv = ops.add, ops.neg, ops.mul, ops.inv
+        if p == 2:  # base-2 packing: a sum is the XOR of the coefficient bits
+            self._add = xor
         self._pow = ops.pow
         self._sig_maps = maps
 
@@ -507,6 +555,69 @@ class FiniteFieldCtx(FieldCtx):
         if j == 0:
             return a
         return FFElem(self, self._sig_maps[j](a.value))
+
+    # -- series kernels ------------------------------------------------------
+    #
+    # Both run on raw values through the bound operations and wrap the
+    # result in FFElem once.  A row holds the nonzero terms (offset, value)
+    # of a window; sigma^i depends only on r = i mod n, so the row of
+    # sigma^r is mapped once, on the first use of r.  That use needs the
+    # longest prefix of the row, and the element loop would map each of
+    # its terms there too.
+
+    def series_mul(self, f, g, prec):
+        add, mul, maps, n = self._add, self._mul, self._sig_maps, self.sigma_order
+        room = prec - f.val - g.val
+        terms = [(j, c.value) for j, c in enumerate(g.coeffs[:room]) if c]
+        rows = [terms] + [None] * (n - 1)  # rows[r]: terms of sigma^r(g)
+        acc = [0] * room
+        for idx, c in enumerate(f.coeffs[:room]):
+            a = c.value
+            if not a:
+                continue
+            k = room - idx  # offsets into g below k reach the product
+            r = (f.val + idx) % n
+            row = rows[r]
+            if row is None:
+                sig = maps[r]
+                row = rows[r] = [(j, sig(b)) for j, b in terms if j < k]
+            for j, b in row:
+                if j >= k:
+                    break
+                e = idx + j
+                acc[e] = add(acc[e], mul(a, b))
+        return [FFElem(self, v) for v in acc]
+
+    def series_inverse(self, a, gval, gprec):
+        add, neg, mul, maps, n = self._add, self._neg, self._mul, self._sig_maps, self.sigma_order
+        width = gprec - gval
+        terms = [(j, c.value) for j, c in enumerate(a[1:], 1) if c]
+        rows = [terms] + [None] * (n - 1)  # rows[r]: terms of sigma^r(a - a[0])
+        inv_leads = [self._inv(a[0].value)] + [None] * (n - 1)
+        acc = [0] * width
+        acc[0] = 1
+        for idx in range(width):
+            c = acc[idx]
+            if not c:
+                continue
+            r = (gval + idx) % n
+            lead = inv_leads[r]
+            if lead is None:
+                lead = inv_leads[r] = maps[r](inv_leads[0])
+            c = acc[idx] = mul(c, lead)
+            # subtract this term's products with a's tail from later terms
+            k = width - idx
+            row = rows[r]
+            if row is None:
+                sig = maps[r]
+                row = rows[r] = [(j, sig(b)) for j, b in terms if j < k]
+            nc = neg(c)
+            for j, b in row:
+                if j >= k:
+                    break
+                e = idx + j
+                acc[e] = add(acc[e], mul(nc, b))
+        return [FFElem(self, v) for v in acc]
 
     # -- constructors ------------------------------------------------------
 
@@ -722,6 +833,44 @@ class FiniteFieldCtx(FieldCtx):
 
 
 _ZONE = (1,)
+# The Q(t) size budget.  A product, a quotient, a sum of fractions and
+# sigma on scale:a/b multiply integers, so each result they build has
+# degree at most _QT_MAX_DEGREE (the parser's largest power, (t+1)^512, has
+# 512) and no integer past _QT_MAX_BITS bits, and so has each
+# pseudo-remainder of a gcd.  A sum of two polynomials and a shift keep the
+# degree and add a few bits; the next product checks what they built.
+# (1000^3000, from scale:1000, has 29,898 bits; past about 14,285 bits an
+# integer is too long to print.)
+_QT_MAX_DEGREE = 512
+_QT_MAX_LEN = _QT_MAX_DEGREE + 1
+_QT_MAX_BITS = 1 << 15
+
+
+def _check_size(n, d=_ZONE):
+    """Raise CoefficientTooLarge unless n/d (n nonzero) is within the budget.
+
+    _normed and the polynomial product call it only when fsum(n + d) fails
+    or a length is past the degree budget (see _past_bits).
+    """
+    if len(n) > _QT_MAX_LEN or len(d) > _QT_MAX_LEN or _past_bits(n + d):
+        raise CoefficientTooLarge(
+            f"a Q(t) coefficient is past the size budget of degree {_QT_MAX_DEGREE} "
+            f"and {_QT_MAX_BITS}-bit integers"
+        )
+
+
+def _past_bits(a):
+    """Whether an integer in the nonempty a has more than _QT_MAX_BITS bits.
+
+    fsum turns each integer into a float and raises OverflowError only from
+    2^1024 on, far inside the budget, so one call clears the usual small
+    integers and only a tuple it refuses is scanned.
+    """
+    try:
+        fsum(a)
+        return False
+    except OverflowError:
+        return max(map(abs, a)) >> _QT_MAX_BITS > 0
 
 
 def _zadd(a, b):
@@ -805,6 +954,10 @@ def _zgcd(a, b):
         r = _zprem(u, v)
         if not r:
             return v, _zdiv(a, v), _zdiv(b, v)
+        if _past_bits(r):
+            raise CoefficientTooLarge(
+                f"a Q(t) gcd has a pseudo-remainder past the budget of {_QT_MAX_BITS} bits"
+            )
         u, v = v, _zpp(r)
     return _ZONE, a, b
 
@@ -842,6 +995,12 @@ def _normed(ctx, n, d):
     if g != 1:
         n = tuple([c // g for c in n])
         d = tuple([c // g for c in d])
+    try:  # the size budget, cheap while no integer reaches 2^1024
+        fsum(n + d)
+    except OverflowError:
+        _check_size(n, d)
+    if len(n) > _QT_MAX_LEN or len(d) > _QT_MAX_LEN:
+        _check_size(n, d)
     return RatFunc(ctx, n, d)
 
 
@@ -933,6 +1092,12 @@ class RatFunc:
         if len(d1) == 1 and len(d2) == 1:
             n = _zmul(n1, n2)
             if d1 == _ZONE and d2 == _ZONE:
+                try:  # the size budget, as in _normed
+                    fsum(n)
+                except OverflowError:
+                    _check_size(n)
+                if len(n) > _QT_MAX_LEN:
+                    _check_size(n)
                 return RatFunc(ctx, n)
             return _normed(ctx, n, (d1[0] * d2[0],))
         _, n1, d2 = _zgcd(n1, d2)
@@ -969,8 +1134,9 @@ class RatFunc:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __bool__(self):
@@ -1060,6 +1226,13 @@ class RationalFunctionCtx(FieldCtx):
         a, b = self.scale.numerator, self.scale.denominator
         if i < 0:
             a, b, i = b, a, -i
+        # the image of a nonconstant element has a coefficient of about the
+        # size of a^i or b^i: refuse one past the budget before the power
+        if i * (max(a.bit_length(), b.bit_length()) - 1) >= _QT_MAX_BITS:
+            raise CoefficientTooLarge(
+                f"sigma^{i} gives a Q(t) coefficient an integer past the budget "
+                f"of {_QT_MAX_BITS} bits"
+            )
         return _normed(self, *_zscale(n, d, a**i, b**i))
 
     def zero(self):

@@ -67,24 +67,30 @@ class ZechScalars:
         self._exp, self._log, self._log1p, self._qm1 = exp, log, zech, qm1
         self._neg_log = 0 if p == 2 else qm1 // 2
 
+    # Logs differ by less than q - 1, so a negative index into a table of
+    # length q - 1 reduces them mod q - 1, and so does subtracting q - 1
+    # from a sum of two logs.
+
     def add(self, a, b):
-        if a == 0:
+        if not a:
             return b
-        if b == 0:
+        if not b:
             return a
-        la, lb = self._log[a], self._log[b]
-        z = self._log1p[(lb - la) % self._qm1]
+        log = self._log
+        la = log[a]
+        z = self._log1p[log[b] - la]
         if z < 0:
             return 0
-        return self._exp[(la + z) % self._qm1]
+        return self._exp[la + z - self._qm1]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % self._qm1]
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b] - self._qm1]
+        return 0
 
     def neg(self, a):
         if a == 0:

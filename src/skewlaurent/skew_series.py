@@ -18,6 +18,13 @@ Precision bookkeeping follows the usual absolute-precision laws:
 Normal form: the leading stored coefficient is nonzero, or the window is
 empty (the zero-to-precision series, stored with val = prec).  The
 valuation query reports None for a series that is zero to its precision.
+
+Products and inverses run in the field context (``series_mul`` and
+``series_inverse``).  A finite field's context runs them on its raw
+packed values, mapping each row sigma^r(g) once per product for the
+residues r = i mod n that occur; Q(t) keeps the element loops of the
+``FieldCtx`` base, since its sigma has infinite order and no row repeats.
+Sums copy the lower window and add in the other operand's nonzero terms.
 """
 
 from __future__ import annotations
@@ -92,22 +99,28 @@ class SkewSeries:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, negate=False):
+        """self + other, or self - other when negate is set (``__sub__``)."""
         self._check_ctx(other)
         prec = min(self.prec, other.prec)
-        val = min(self.val, other.val)
-        acc = [self.ctx.zero()] * (prec - val)
-        for s in (self, other):
-            for idx, c in enumerate(s.coeffs):
-                e = s.val + idx
-                if e >= prec:
-                    break
-                if c:
-                    acc[e - val] = acc[e - val] + c
-        return SkewSeries(self.ctx, val, acc, prec)
+        # the lower window is copied (negated if it is a subtrahend); the
+        # nonzero terms of the other operand below prec are added into it
+        if self.val <= other.val:
+            low, high, neg_high = self, other, negate
+            acc = list(self.coeffs[: prec - self.val])
+        else:
+            low, high, neg_high = other, self, False
+            acc = list(other.coeffs[: prec - other.val])
+            if negate:
+                acc = [-c for c in acc]
+        off = high.val - low.val
+        for idx, c in enumerate(high.coeffs[: max(prec - high.val, 0)], off):
+            if c:
+                acc[idx] = acc[idx] - c if neg_high else acc[idx] + c
+        return SkewSeries(self.ctx, low.val, acc, prec)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, negate=True)
 
     def __neg__(self):
         return SkewSeries(self.ctx, self.val, tuple(-c for c in self.coeffs), self.prec)
@@ -117,44 +130,17 @@ class SkewSeries:
         prec = min(self.prec + other.val, other.prec + self.val)
         if not self.coeffs or not other.coeffs:
             return SkewSeries(self.ctx, prec, (), prec)
-        val = self.val + other.val
-        acc = [self.ctx.zero()] * (prec - val)
-        sigma = self.ctx.sigma
-        oval, ocoeffs = other.val, other.coeffs
-        for idx, fi in enumerate(self.coeffs):
-            if not fi:
-                continue
-            i = self.val + idx
-            jmax = prec - i  # exponent bound for the other factor
-            for jdx, gj in enumerate(ocoeffs):
-                j = oval + jdx
-                if j >= jmax:
-                    break
-                if gj:
-                    e = i + j - val
-                    acc[e] = acc[e] + fi * sigma(gj, i)
-        return SkewSeries(self.ctx, val, acc, prec)
+        acc = self.ctx.series_mul(self, other, prec)
+        return SkewSeries(self.ctx, self.val + other.val, acc, prec)
 
     def inverse(self):
         """Two-sided inverse to precision prec - 2*val."""
         if self.is_zero:
             raise ZeroNotInvertible("series is zero to its precision")
-        ctx = self.ctx
-        s = self.val
-        gval = -s
-        gprec = self.prec - 2 * s
-        a = self.coeffs
-        sigma = ctx.sigma
-        inv_lead = a[0].inverse()
-        cs = []
-        for idx in range(gprec - gval):
-            acc = ctx.one() if idx == 0 else ctx.zero()
-            for idx2 in range(max(idx - len(a) + 1, 0), idx):
-                ai = a[idx - idx2]
-                if ai:
-                    acc = acc - cs[idx2] * sigma(ai, gval + idx2)
-            cs.append(acc * sigma(inv_lead, gval + idx))
-        return SkewSeries(ctx, gval, cs, gprec)
+        gval = -self.val
+        gprec = self.prec - 2 * self.val
+        coeffs = self.ctx.series_inverse(self.coeffs, gval, gprec)
+        return SkewSeries(self.ctx, gval, coeffs, gprec)
 
     # -- formatting ----------------------------------------------------------
 

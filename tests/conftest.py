@@ -121,3 +121,66 @@ def pdivmod(a, b, p):
             for j, bj in enumerate(b):
                 a[i + j] = (a[i + j] - c * bj) % p
     return _ptrim(q), _ptrim(a)
+
+
+# Series references on a dict of exponents, one ctx.sigma(g_j, i) call per
+# coefficient pair: they share no loop with SkewSeries or the contexts'
+# series kernels.
+
+
+def _terms(f):
+    """{exponent: coefficient} of the nonzero terms of f."""
+    return {f.val + idx: c for idx, c in enumerate(f.coeffs) if c}
+
+
+def _series(ctx, terms, prec):
+    terms = {e: c for e, c in terms.items() if e < prec and c}
+    if not terms:
+        return SkewSeries(ctx, prec, (), prec)
+    val = min(terms)
+    return SkewSeries(ctx, val, [terms.get(e, ctx.zero()) for e in range(val, prec)], prec)
+
+
+def reference_sum(f, g, sign=1):
+    """f + g (sign 1) or f - g (sign -1)."""
+    ctx = f.ctx
+    out = dict(_terms(f))
+    for e, c in _terms(g).items():
+        c = c if sign == 1 else -c
+        out[e] = out[e] + c if e in out else c
+    return _series(ctx, out, min(f.prec, g.prec))
+
+
+def reference_product(f, g):
+    """f*g: sum over pairs of f_i * sigma^i(g_j) at x^(i+j)."""
+    ctx = f.ctx
+    prec = min(f.prec + g.val, g.prec + f.val)
+    out = {}
+    for i, fi in _terms(f).items():
+        for j, gj in _terms(g).items():
+            if i + j < prec:
+                c = fi * ctx.sigma(gj, i)
+                out[i + j] = out[i + j] + c if i + j in out else c
+    return _series(ctx, out, prec)
+
+
+def reference_inverse(f):
+    """The right inverse h of f (f*h = 1), solved term by term.
+
+    With s = f.val, (f*h)_e = f_s*sigma^s(h_(e-s)) + sum_(i>s) f_i*sigma^i(h_(e-i)),
+    so each h_j follows from the h_k with k < j.
+    """
+    ctx = f.ctx
+    s = f.val
+    fs = _terms(f)
+    lead_inv = fs[s].inverse()
+    prec = f.prec - 2 * s
+    h = {}
+    for j in range(-s, prec):
+        acc = ctx.one() if j == -s else ctx.zero()
+        for i, fi in fs.items():
+            k = j + s - i
+            if i > s and k in h:
+                acc = acc - fi * ctx.sigma(h[k], i)
+        h[j] = ctx.sigma(lead_inv * acc, -s)
+    return _series(ctx, h, prec)

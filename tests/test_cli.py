@@ -528,6 +528,48 @@ def test_cli_reports_results_too_large_to_print():
     assert err == "error: a Q(t) coefficient has too many digits to print\n"
 
 
+def test_cli_rejects_qt_coefficients_past_the_size_budget():
+    sevens = "7" * 4300
+    cases = [
+        # results stay small here (degree 56, 501 bits at --prec 20), but
+        # the gcds' pseudo-remainders grow past the bit budget
+        (["eval", "--sigma", "scale:2", "inv(x^0 + 1/(t^2+2)*x + 1/(t+3)*x^2)"],
+         "a Q(t) gcd has a pseudo-remainder past the budget of 32768 bits"),
+        # refused before sigma^4096 computes a 58-million-bit power
+        (["eval", "--sigma", f"scale:{sevens}", "x^4096 * t*x^0"],
+         "sigma^4096 gives a Q(t) coefficient an integer past the budget of 32768 bits"),
+        (["decompose", "--sigma", f"scale:{sevens}", "t*x^4096+O(x^4098)"],
+         "gives a Q(t) coefficient an integer past the budget of 32768 bits"),
+        (["eval", "--sigma", "scale:2", "(2^65)^512*t*x"],
+         "a Q(t) coefficient is past the size budget of degree 512 and 32768-bit integers"),
+        (["eval", "--sigma", "shift", "(t+1)^-512*x + (t+2)^-512*x"],
+         "a Q(t) coefficient is past the size budget"),
+        (["decompose", "--sigma", "shift", "(t+1)^512*x^3 + O(x^5)"],
+         "a Q(t) coefficient is past the size budget"),
+    ]  # fmt: skip
+    for argv, message in cases:
+        command, *rest = argv
+        code, out, err = run_cli([command, "--field", "qt", *rest])
+        assert code == 2 and out == "" and err.startswith("error: ") and message in err, argv
+
+
+def test_cli_certificates_at_the_qt_size_budget_verify():
+    # inputs of degree 512, and coefficients of 12,986 bits (3^8193), at
+    # the Q(t) size budget: decompose's certificate verifies
+    for sigma, text in (
+        ("shift", "(t+1)^-512*x^-1 + t*x + O(x^2)"),
+        ("shift", "(t+1)^384*x^3 + O(x^5)"),
+        ("scale:2", "(t^2+3)^256*x^0 + (t+1)*x + O(x^4)"),
+        ("scale:2", "(2^13*t+1)^256*x + O(x^3)"),
+        ("scale:3", "t*x^4096 + O(x^4098)"),
+        ("scale:3", "t*x^-4096 + O(x^-4094)"),
+    ):
+        code, cert, err = run_cli(["decompose", "--field", "qt", "--sigma", sigma, text])
+        assert code == 0, (sigma, text, err)
+        code, out, err = run_cli(["verify", "-"], stdin_text=cert)
+        assert code == 0 and out.startswith("valid: "), (sigma, text, err)
+
+
 def test_cli_rejects_fields_past_the_budget():
     cases = {
         "gf(999999999989^2)": "characteristic 999999999989 is past the limit p < 2^32",

@@ -11,6 +11,7 @@ from operator import add, mul, sub
 import pytest
 
 from skewlaurent.errors import (
+    CoefficientTooLarge,
     FieldSpecError,
     IdentityAutomorphism,
     InfiniteOrder,
@@ -119,6 +120,23 @@ def test_int_coercion(gf34, qt_shift):
     t = qt_shift.gen()
     assert 3 * t - t == 2 * t
     assert (1 - t) + t == qt_shift.one()
+
+
+def test_finite_field_elements_equal_only_elements(gf34, gf28):
+    """Equal elements hash equal; ints are coerced in arithmetic but never
+    compare equal to an element."""
+    for ctx in (gf34, gf28):
+        elems = list(ctx.elements())
+        again = [ctx.elem(ctx._digits(a.value)) for a in elems]
+        assert elems == again
+        assert [hash(a) for a in elems] == [hash(b) for b in again]
+        assert len(set(elems) | set(again)) == ctx.q
+        one = ctx.one()
+        assert len({one, 1}) == 2
+        assert one != 1 and 1 != one and not (one == 1)
+        assert one + 1 == ctx.from_int(2) and one * 1 == one
+    assert gf34.from_int(4) == gf34.one()
+    assert gf34.from_int(4) != 1 and hash(gf34.from_int(4)) == hash(gf34.one())
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +431,27 @@ def test_ratfunc_sigma_scale():
     assert ctx.sigma(t, -1) == Fraction(2, 3) * t
     assert ctx.sigma(ctx.from_int(7), 5) == ctx.from_int(7)
     assert sigma_degree(ctx, t, 50) is None
+
+
+def test_ratfunc_size_budget(qt_shift):
+    t = qt_shift.gen()
+    top = (t + 1) ** 512  # the largest power the parser takes
+    assert len(top.n) == 513 and top.d == (1,)
+    assert ((t + 1) ** -512).d == top.n
+    assert len((top / (t + 2)).d) == 2
+    for build in (
+        lambda: (t + 1) ** 513,
+        lambda: top * t,
+        lambda: top / (t + 2) * (t + 3),
+        lambda: qt_shift.from_int(2**32768) * t,
+        # a sum is checked by the next product
+        lambda: (qt_shift.from_int(2**32767) + 2**32767) * t,
+        lambda: RationalFunctionCtx("scale", 2).sigma(t, 1 << 15),
+    ):
+        with pytest.raises(CoefficientTooLarge):
+            build()
+    assert qt_shift.from_int(2**32767) * t != t
+    assert RationalFunctionCtx("scale", 2).sigma(t, (1 << 15) - 1).n == (0, 2 ** ((1 << 15) - 1))
 
 
 def test_ratfunc_str(qt_shift):

@@ -19,7 +19,14 @@ from skewlaurent.skew_series import (
     zero,
 )
 
-from conftest import nonzero_elem, random_series
+from conftest import (
+    nonzero_elem,
+    random_series,
+    reference_inverse,
+    reference_product,
+    reference_sum,
+)
+from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +215,133 @@ def test_inverse_random_round_trip(gf25, gf34, gf28, qt_shift):
                 assert prod.prec == f.prec - f.val
                 one_s = term(ctx, ctx.one(), 0, prod.prec)
                 assert prod.eq_to_prec(one_s, prod.prec)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: every backend against the dict-of-exponents products
+
+# (p, m, frob power) of each finite-field backend: Zech tables, bit-packed
+# GF(2^m), and Kronecker-packed odd p with k0 != GF(p); None is Q(t)/shift.
+ORACLE_FIELDS = {
+    "gf(3^4)/frob": (3, 4, 1),
+    "gf(2^8)/frob": (2, 8, 1),
+    "gf(2^20)/frob": (2, 20, 1),
+    "gf(5^8)/frob^2": (5, 8, 2),
+    "gf(3^12)/frob^3": (3, 12, 3),
+    "qt/shift": None,
+}
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_FIELDS), ids=list(ORACLE_FIELDS))
+def oracle_ctx(request):
+    spec = ORACLE_FIELDS[request.param]
+    if spec is None:
+        return RationalFunctionCtx("shift")
+    p, m, e = spec
+    return FiniteFieldCtx(p, m, frob_power=e)
+
+
+def oracle_series(ctx, rng, width, dense, val=None):
+    """A series of this window width (0: zero to precision), dense or about
+    a quarter nonzero, with a valuation in -8..8 unless given."""
+    val = rng.randint(-8, 8) if val is None else val
+    if dense:
+        coeffs = [nonzero_elem(ctx, rng) for _ in range(width)]
+    else:
+        coeffs = [nonzero_elem(ctx, rng) if rng.random() < 0.25 else ctx.zero() for _ in range(width)]
+    return SkewSeries(ctx, val, coeffs, val + width)
+
+
+def check_against_oracle(f, g, inverse=True):
+    assert f + g == reference_sum(f, g)
+    assert f - g == reference_sum(f, g, -1)
+    assert g - f == reference_sum(g, f, -1)
+    assert f * g == reference_product(f, g)
+    assert g * f == reference_product(g, f)
+    if inverse and not f.is_zero:
+        assert f.inverse() == reference_inverse(f)
+
+
+def test_series_ops_match_the_reference_on_every_backend(oracle_ctx):
+    ctx = oracle_ctx
+    qt = ctx.sigma_order is None
+    rng = random.Random(f"oracle:{ctx.field_spec()}:{ctx.sigma_spec()}")
+    # Q(t) coefficients grow fast under products and inverses: keep them narrow
+    max_width, max_inv = (12, 8) if qt else (64, 64)
+    for round_ in range(16):
+        dense = round_ % 2 == 0
+        f = oracle_series(ctx, rng, rng.randint(0, max_width), dense)
+        g = oracle_series(ctx, rng, rng.randint(0, max_width), not dense)
+        check_against_oracle(f, g, inverse=len(f.coeffs) <= max_inv)
+    # the widest windows, dense and sparse, and a window truncated by the
+    # other operand's precision
+    f = oracle_series(ctx, rng, max_width, True, -3)
+    g = oracle_series(ctx, rng, max_width, False, 5)
+    check_against_oracle(f, g, inverse=max_width <= max_inv)
+    check_against_oracle(g, f, inverse=max_width <= max_inv)
+    short = oracle_series(ctx, rng, 3, True, 1)
+    check_against_oracle(f, short)
+    check_against_oracle(short, g)
+    # zero-to-precision operands, and operands whose window starts at or
+    # past the result's precision
+    for z in (zero(ctx, -2), zero(ctx, 4), oracle_series(ctx, rng, 6, False, 7)):
+        check_against_oracle(z, f)
+        check_against_oracle(f, z)
+    low = oracle_series(ctx, rng, 5, True, 0)  # prec 5
+    for val in (5, 6, 9):
+        high = oracle_series(ctx, rng, 4, True, val)
+        check_against_oracle(low, high)
+        check_against_oracle(high, low)
+    all_zero = SkewSeries(ctx, 2, [ctx.zero()] * 5, 7)
+    assert all_zero.is_zero and all_zero.val == 7
+    check_against_oracle(all_zero, short)
+    check_against_oracle(short, all_zero)
+
+
+def test_series_kernels_map_no_more_coefficients_than_the_pair_loop():
+    """Each product and inverse applies the sigma^j maps at most once per
+    coefficient pair that the element loop visits."""
+    ctx = FiniteFieldCtx(2, 20)  # n = 20: rows longer than the window
+    calls = [0]
+
+    def counted(fn):
+        def apply(v):
+            calls[0] += 1
+            return fn(v)
+
+        return apply
+
+    ctx._sig_maps = [None] + [counted(fn) for fn in ctx._sig_maps[1:]]
+    n = ctx.sigma_order
+    rng = random.Random("sigma-calls")
+    for width in (1, 5, 24, 40):
+        for dense in (True, False):
+            f = oracle_series(ctx, rng, width, dense)
+            g = oracle_series(ctx, rng, width + 3, not dense)
+            prec = min(f.prec + g.val, g.prec + f.val)
+            loop = sum(
+                1
+                for i, fi in enumerate(f.coeffs, f.val)
+                for j, gj in enumerate(g.coeffs, g.val)
+                if fi and gj and i + j < prec and i % n
+            )
+            calls[0] = 0
+            f * g
+            assert calls[0] <= loop
+            if f.is_zero:
+                continue
+            # the element loop maps each a_k, k >= 1, once per earlier
+            # coefficient of the inverse, and the inverse lead once per term
+            s, a = f.val, f.coeffs
+            loop = sum(
+                1
+                for idx in range(len(a))
+                for idx2 in range(idx)
+                if a[idx - idx2] and (idx2 - s) % n
+            ) + sum(1 for idx in range(len(a)) if (idx - s) % n)
+            calls[0] = 0
+            f.inverse()
+            assert calls[0] <= loop
 
 
 # ---------------------------------------------------------------------------
