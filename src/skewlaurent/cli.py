@@ -474,7 +474,7 @@ def certificate_from_json(text):
             pairs=pairs,
             method=_typed(obj, "method", str),
             check_prec=_typed(obj, "prec", int),
-            experimental=bool(obj.get("experimental", False)),
+            experimental="experimental" in obj and _typed(obj, "experimental", bool),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         # json raises RecursionError for arrays or objects nested too deep

@@ -37,7 +37,7 @@ import random
 import weakref
 from fractions import Fraction
 from math import fsum, gcd
-from operator import add, mul, xor
+from operator import add, methodcaller, mul, neg, xor
 
 from .errors import (
     CoefficientTooLarge,
@@ -200,9 +200,10 @@ def default_modulus(p, m):
 class FieldCtx:
     """Shared behaviour of coefficient-field contexts.
 
-    Subclasses provide element arithmetic, ``sigma``, and (for finite
-    order) a faithful k0-linear vectorisation ``k0_vec`` of k together
-    with the matching scalar adapter ``k0_scalars``.
+    Subclasses provide element arithmetic, ``sigma``, the seam of the
+    series kernels, and (for finite order) a faithful k0-linear
+    vectorisation ``k0_vec`` of k together with the matching scalar
+    adapter ``k0_scalars``.
     """
 
     sigma_order = None  # int for finite order, None for infinite
@@ -218,47 +219,77 @@ class FieldCtx:
 
     # -- series kernels ----------------------------------------------------
     #
-    # SkewSeries multiplies and inverts through these two methods.  The
-    # base runs element loops with one sigma call per coefficient pair,
-    # which Q(t) keeps: its sigma has infinite order, so no row sigma^r(g)
-    # repeats.  FiniteFieldCtx overrides both with kernels on raw values.
+    # One product and one inverse for every context, on raw values through
+    # the seam each context binds: _add, _neg, _mul, _inv, _sigma_map(i) for
+    # sigma^i, and _unwrap/_wrap between elements and raw values.  A row
+    # holds the nonzero terms of sigma^i of a window; for finite order n it
+    # is kept under r = i mod n from its first use, which needs the longest
+    # prefix.  An inverse runs in pull order, each coefficient summed from
+    # the earlier ones, so no product for a later coefficient comes first.
+
+    def _map_row(self, rows, r, terms, k):
+        """(j, sigma^r(b)) for the (j, b) in terms with j < k, kept for finite order."""
+        sig = self._sigma_map(r)
+        row = [(j, sig(b)) for j, b in terms if j < k]
+        if self.sigma_order:
+            rows[r] = row
+        return row
 
     def series_mul(self, f, g, prec):
         """Coefficients of f*g from x^(f.val + g.val) to O(x^prec), for f
         and g with nonempty windows."""
-        val = f.val + g.val
-        acc = [self.zero()] * (prec - val)
-        sigma = self.sigma
-        oval, ocoeffs = g.val, g.coeffs
-        for idx, fi in enumerate(f.coeffs):
-            if not fi:
+        add, mul, unwrap, n = self._add, self._mul, self._unwrap, self.sigma_order
+        room = prec - f.val - g.val
+        terms = [(j, b) for j, b in enumerate(unwrap(g.coeffs[:room])) if b]
+        rows = {0: terms}  # rows[r]: terms of sigma^r(g), r = i mod n
+        acc = unwrap((self.zero(),)) * room
+        for idx, a in enumerate(unwrap(f.coeffs[:room])):
+            if not a:
                 continue
+            k = room - idx  # offsets into g below k reach the product
             i = f.val + idx
-            jmax = prec - i  # exponent bound for the other factor
-            for jdx, gj in enumerate(ocoeffs):
-                j = oval + jdx
-                if j >= jmax:
+            r = i % n if n else i
+            row = rows.get(r)
+            if row is None:
+                row = self._map_row(rows, r, terms, k)
+            for j, b in row:
+                if j >= k:
                     break
-                if gj:
-                    e = i + j - val
-                    acc[e] = acc[e] + fi * sigma(gj, i)
-        return acc
+                e = idx + j
+                acc[e] = add(acc[e], mul(a, b))
+        return self._wrap(acc)
 
     def series_inverse(self, a, gval, gprec):
         """Coefficients from x^gval to O(x^gprec) of the inverse of the
         series with window a (a[0] nonzero) from x^-gval; gprec - gval is
         len(a)."""
-        sigma = self.sigma
-        inv_lead = a[0].inverse()
-        cs = []
-        for idx in range(gprec - gval):
-            acc = self.one() if idx == 0 else self.zero()
-            for idx2 in range(max(idx - len(a) + 1, 0), idx):
-                ai = a[idx - idx2]
-                if ai:
-                    acc = acc - cs[idx2] * sigma(ai, gval + idx2)
-            cs.append(acc * sigma(inv_lead, gval + idx))
-        return cs
+        add, neg, mul, unwrap, n = self._add, self._neg, self._mul, self._unwrap, self.sigma_order
+        width = gprec - gval
+        terms = [(j, b) for j, b in enumerate(unwrap(a)) if b]
+        terms[0] = (0, self._inv(terms[0][1]))
+        rows = {0: terms}  # rows[r]: sigma^r of the lead's inverse and a's tail
+        minus_one, zero = unwrap((-self.one(), self.zero()))
+        done = []  # done[idx]: the coefficient and the row of its exponent
+        tail, nxt = [], 1  # (j, position in terms) of a's tail terms with j <= idx, j falling
+        for idx in range(width):
+            if nxt < len(terms) and terms[nxt][0] == idx:
+                tail.insert(0, (idx, nxt))
+                nxt += 1
+            acc = minus_one if idx == 0 else zero  # minus the coefficient, before the lead
+            for j, t in tail:  # the earlier coefficients, ascending
+                c, row = done[idx - j]
+                if c:
+                    acc = add(acc, mul(c, row[t][1]))
+            if acc:
+                i = gval + idx
+                r = i % n if n else i
+                row = rows.get(r)
+                if row is None:
+                    row = self._map_row(rows, r, terms, width - idx)
+                done.append((mul(neg(acc), row[0][1]), row))
+            else:
+                done.append((zero, None))
+        return self._wrap(c for c, _ in done)
 
     # -- witnesses ---------------------------------------------------------
 
@@ -556,68 +587,17 @@ class FiniteFieldCtx(FieldCtx):
             return a
         return FFElem(self, self._sig_maps[j](a.value))
 
-    # -- series kernels ------------------------------------------------------
-    #
-    # Both run on raw values through the bound operations and wrap the
-    # result in FFElem once.  A row holds the nonzero terms (offset, value)
-    # of a window; sigma^i depends only on r = i mod n, so the row of
-    # sigma^r is mapped once, on the first use of r.  That use needs the
-    # longest prefix of the row, and the element loop would map each of
-    # its terms there too.
+    # -- series-kernel seam (see FieldCtx) -----------------------------------
 
-    def series_mul(self, f, g, prec):
-        add, mul, maps, n = self._add, self._mul, self._sig_maps, self.sigma_order
-        room = prec - f.val - g.val
-        terms = [(j, c.value) for j, c in enumerate(g.coeffs[:room]) if c]
-        rows = [terms] + [None] * (n - 1)  # rows[r]: terms of sigma^r(g)
-        acc = [0] * room
-        for idx, c in enumerate(f.coeffs[:room]):
-            a = c.value
-            if not a:
-                continue
-            k = room - idx  # offsets into g below k reach the product
-            r = (f.val + idx) % n
-            row = rows[r]
-            if row is None:
-                sig = maps[r]
-                row = rows[r] = [(j, sig(b)) for j, b in terms if j < k]
-            for j, b in row:
-                if j >= k:
-                    break
-                e = idx + j
-                acc[e] = add(acc[e], mul(a, b))
-        return [FFElem(self, v) for v in acc]
+    @staticmethod
+    def _unwrap(elems):
+        return [a.value for a in elems]
 
-    def series_inverse(self, a, gval, gprec):
-        add, neg, mul, maps, n = self._add, self._neg, self._mul, self._sig_maps, self.sigma_order
-        width = gprec - gval
-        terms = [(j, c.value) for j, c in enumerate(a[1:], 1) if c]
-        rows = [terms] + [None] * (n - 1)  # rows[r]: terms of sigma^r(a - a[0])
-        inv_leads = [self._inv(a[0].value)] + [None] * (n - 1)
-        acc = [0] * width
-        acc[0] = 1
-        for idx in range(width):
-            c = acc[idx]
-            if not c:
-                continue
-            r = (gval + idx) % n
-            lead = inv_leads[r]
-            if lead is None:
-                lead = inv_leads[r] = maps[r](inv_leads[0])
-            c = acc[idx] = mul(c, lead)
-            # subtract this term's products with a's tail from later terms
-            k = width - idx
-            row = rows[r]
-            if row is None:
-                sig = maps[r]
-                row = rows[r] = [(j, sig(b)) for j, b in terms if j < k]
-            nc = neg(c)
-            for j, b in row:
-                if j >= k:
-                    break
-                e = idx + j
-                acc[e] = add(acc[e], mul(nc, b))
-        return [FFElem(self, v) for v in acc]
+    def _wrap(self, values):
+        return [FFElem(self, v) for v in values]
+
+    def _sigma_map(self, i):
+        return self._sig_maps[i]
 
     # -- constructors ------------------------------------------------------
 
@@ -1215,6 +1195,16 @@ class RationalFunctionCtx(FieldCtx):
         self.kind = kind
         self.sigma_order = None
         self.key = ("qt", kind, self.scale)
+
+    # -- series-kernel seam (see FieldCtx): raw values are the elements, and
+    # the operations dispatch through the RatFunc operators and self.sigma
+
+    _add, _neg, _mul, _inv = add, neg, mul, methodcaller("inverse")
+    _unwrap = _wrap = staticmethod(list)
+
+    def _sigma_map(self, i):
+        sigma = self.sigma
+        return lambda a: sigma(a, i)
 
     def sigma(self, a, i=1):
         n, d = a.n, a.d

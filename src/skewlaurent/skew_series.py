@@ -19,12 +19,10 @@ Normal form: the leading stored coefficient is nonzero, or the window is
 empty (the zero-to-precision series, stored with val = prec).  The
 valuation query reports None for a series that is zero to its precision.
 
-Products and inverses run in the field context (``series_mul`` and
-``series_inverse``).  A finite field's context runs them on its raw
-packed values, mapping each row sigma^r(g) once per product for the
-residues r = i mod n that occur; Q(t) keeps the element loops of the
-``FieldCtx`` base, since its sigma has infinite order and no row repeats.
-Sums copy the lower window and add in the other operand's nonzero terms.
+Products and inverses run in one kernel of the ``FieldCtx`` base
+(``series_mul`` and ``series_inverse``) on every context's raw values,
+and an inverse computes each coefficient from the earlier ones.  Sums
+copy the lower window and add in the other operand's nonzero terms.
 """
 
 from __future__ import annotations

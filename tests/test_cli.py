@@ -316,6 +316,8 @@ def test_cli_verify_rejects_certificates_of_the_wrong_types():
         "a pair is an object": lambda c: c["pairs"].__setitem__(0, {"b": 1, "w": 2}),
         "input is a list": lambda c: c.update(input=[]),
         "a witness val past its budget": lambda c: c["pairs"][0][1].update(val=8195),
+        "experimental is a str": lambda c: c.update(experimental="no"),
+        "experimental is a list": lambda c: c.update(experimental=[1]),
     }
     for name, edit in edits.items():
         cert = json.loads(json.dumps(good))

@@ -28,6 +28,7 @@ from skewlaurent.field_tower import (
     RationalFunctionCtx,
 )
 from skewlaurent.linalg import particular_solver
+from skewlaurent.skew_series import from_terms
 
 from conftest import coords, k0_rank, l_coords, nonzero_elem, pdivmod, sigma_degree
 
@@ -698,6 +699,15 @@ def test_used_context_is_freed_without_the_cycle_collector():
             ref = weakref.ref(ctx)
             del ctx, y
             assert ref() is None, (p, m, e)
+        # Q(t) contexts too, after the series kernels ran on their elements
+        for args in (("shift",), ("scale", 2)):
+            ctx = RationalFunctionCtx(*args)
+            t = ctx.gen()
+            f = from_terms(ctx, [(0, t), (1, ctx.one()), (2, t + 3)], 8)
+            (f * f).inverse()
+            ref = weakref.ref(ctx)
+            del ctx, t, f
+            assert ref() is None, args
         # an order-4 context kept past its field says so
         o4 = FiniteFieldCtx(3, 4).build_order4_ctx()
         with pytest.raises(ReferenceError):

@@ -221,22 +221,24 @@ def test_inverse_random_round_trip(gf25, gf34, gf28, qt_shift):
 # reference oracle: every backend against the dict-of-exponents products
 
 # (p, m, frob power) of each finite-field backend: Zech tables, bit-packed
-# GF(2^m), and Kronecker-packed odd p with k0 != GF(p); None is Q(t)/shift.
+# GF(2^m), and Kronecker-packed odd p with k0 != GF(p); then the
+# RationalFunctionCtx arguments of Q(t) with each kind of sigma.
 ORACLE_FIELDS = {
     "gf(3^4)/frob": (3, 4, 1),
     "gf(2^8)/frob": (2, 8, 1),
     "gf(2^20)/frob": (2, 20, 1),
     "gf(5^8)/frob^2": (5, 8, 2),
     "gf(3^12)/frob^3": (3, 12, 3),
-    "qt/shift": None,
+    "qt/shift": ("shift",),
+    "qt/scale:2": ("scale", 2),
 }
 
 
 @pytest.fixture(scope="module", params=list(ORACLE_FIELDS), ids=list(ORACLE_FIELDS))
 def oracle_ctx(request):
     spec = ORACLE_FIELDS[request.param]
-    if spec is None:
-        return RationalFunctionCtx("shift")
+    if isinstance(spec[0], str):
+        return RationalFunctionCtx(*spec)
     p, m, e = spec
     return FiniteFieldCtx(p, m, frob_power=e)
 
@@ -298,50 +300,86 @@ def test_series_ops_match_the_reference_on_every_backend(oracle_ctx):
     check_against_oracle(short, all_zero)
 
 
+def test_inverses_compute_each_coefficient_from_the_earlier_ones(oracle_ctx, monkeypatch):
+    """Pull order: the products behind the first w coefficients of an
+    inverse come first and in the same order at any width, so no product
+    for a later coefficient is formed before the earlier ones are done."""
+    ctx = oracle_ctx
+    log = []
+    mul = ctx._mul
+
+    def logged(a, b):
+        log.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(ctx, "_mul", logged)
+    rng = random.Random(f"pull:{ctx.field_spec()}:{ctx.sigma_spec()}")
+    w = 5 if ctx.sigma_order is None else 16
+    for dense in (True, False):
+        lead = term(ctx, nonzero_elem(ctx, rng), -3, 2 * w - 3)
+        f = lead + oracle_series(ctx, rng, 2 * w - 1, dense, -2)
+        assert len(f.coeffs) == 2 * w
+        logs = []
+        for width in (w, 2 * w):
+            log.clear()
+            SkewSeries(ctx, f.val, f.coeffs[:width], f.val + width).inverse()
+            logs.append(list(log))
+        short, full = logs
+        assert 0 < len(short) < len(full)
+        assert full[: len(short)] == short
+
+
 def test_series_kernels_map_no_more_coefficients_than_the_pair_loop():
-    """Each product and inverse applies the sigma^j maps at most once per
-    coefficient pair that the element loop visits."""
-    ctx = FiniteFieldCtx(2, 20)  # n = 20: rows longer than the window
+    """Each product and inverse applies sigma^i at most once per
+    coefficient pair that the element loop visits with i moving it."""
     calls = [0]
 
     def counted(fn):
-        def apply(v):
+        def apply(*args, **kwargs):
             calls[0] += 1
-            return fn(v)
+            return fn(*args, **kwargs)
 
         return apply
 
-    ctx._sig_maps = [None] + [counted(fn) for fn in ctx._sig_maps[1:]]
-    n = ctx.sigma_order
+    gf = FiniteFieldCtx(2, 20)  # n = 20: rows longer than the window
+    gf._sig_maps = [None] + [counted(fn) for fn in gf._sig_maps[1:]]
+    qt = RationalFunctionCtx("shift")  # infinite order: no row repeats
+    qt.sigma = counted(qt.sigma)
     rng = random.Random("sigma-calls")
-    for width in (1, 5, 24, 40):
-        for dense in (True, False):
-            f = oracle_series(ctx, rng, width, dense)
-            g = oracle_series(ctx, rng, width + 3, not dense)
-            prec = min(f.prec + g.val, g.prec + f.val)
-            loop = sum(
-                1
-                for i, fi in enumerate(f.coeffs, f.val)
-                for j, gj in enumerate(g.coeffs, g.val)
-                if fi and gj and i + j < prec and i % n
-            )
-            calls[0] = 0
-            f * g
-            assert calls[0] <= loop
-            if f.is_zero:
-                continue
-            # the element loop maps each a_k, k >= 1, once per earlier
-            # coefficient of the inverse, and the inverse lead once per term
-            s, a = f.val, f.coeffs
-            loop = sum(
-                1
-                for idx in range(len(a))
-                for idx2 in range(idx)
-                if a[idx - idx2] and (idx2 - s) % n
-            ) + sum(1 for idx in range(len(a)) if (idx - s) % n)
-            calls[0] = 0
-            f.inverse()
-            assert calls[0] <= loop
+    for ctx, widths in ((gf, (1, 5, 24, 40)), (qt, (1, 5, 8))):
+        n = ctx.sigma_order
+
+        def moves(i):
+            return i % n if n else i
+
+        for width in widths:
+            for dense in (True, False):
+                f = oracle_series(ctx, rng, width, dense)
+                g = oracle_series(ctx, rng, width + 3, not dense)
+                prec = min(f.prec + g.val, g.prec + f.val)
+                loop = sum(
+                    1
+                    for i, fi in enumerate(f.coeffs, f.val)
+                    for j, gj in enumerate(g.coeffs, g.val)
+                    if fi and gj and i + j < prec and moves(i)
+                )
+                calls[0] = 0
+                f * g
+                assert calls[0] <= loop
+                if f.is_zero:
+                    continue
+                # the element loop maps each a_k, k >= 1, once per earlier
+                # coefficient of the inverse, and the inverse lead once per term
+                s, a = f.val, f.coeffs
+                loop = sum(
+                    1
+                    for idx in range(len(a))
+                    for idx2 in range(idx)
+                    if a[idx - idx2] and moves(idx2 - s)
+                ) + sum(1 for idx in range(len(a)) if moves(idx - s))
+                calls[0] = 0
+                f.inverse()
+                assert calls[0] <= loop
 
 
 # ---------------------------------------------------------------------------
