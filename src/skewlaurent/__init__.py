@@ -15,7 +15,6 @@ from . import errors
 from .decompose import (
     Certificate,
     bracket_preimage,
-    bracket_preimage_term,
     certificate_problem,
     decompose,
     factor_avoiding_multiples,
@@ -39,7 +38,6 @@ __all__ = [
     "SkewSeries",
     "UnsupportedOrder",
     "bracket_preimage",
-    "bracket_preimage_term",
     "certificate_problem",
     "commutator",
     "conjugate",

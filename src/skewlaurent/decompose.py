@@ -15,9 +15,12 @@ depends on the order of sigma:
   bracket with a normal-basis element;
 * order 4: as above when the valuation is not 2 mod 4; otherwise factor
   f into two series whose coefficients lie in L = Im(sigma - 1) and lift
-  both through the bracket with x itself, conjugating first when the
-  leading coefficient sits in the obstruction line k1;
+  both through the bracket with x itself; when the leading coefficient
+  sits in the obstruction line k1, f is first conjugated by a constant u
+  and the witnesses are conjugated back by u^(-1);
 * orders 2 and 3 are rejected (UnsupportedOrder).
+
+Both factorisations f = g*h share one triangular loop, _factor.
 
 The resulting Certificate is self-contained and re-checkable: verify
 multiplies the commutators back out and compares coefficients below
@@ -40,7 +43,7 @@ from .errors import (
     ZeroInput,
 )
 from .linalg import kernel_from_columns
-from .skew_series import SkewSeries, commutator, conjugate, term, zero
+from .skew_series import SkewSeries, commutator, term, zero
 
 _CONJ_SEED = "conjugator-search"
 # every route decompose() can name in a certificate
@@ -96,11 +99,10 @@ def certificate_problem(cert):
             f"commutator product is known only to O(x^{prod.prec}), "
             f"below the claimed O(x^{cert.check_prec})"
         )
-    if prod.eq_to_prec(f, cert.check_prec):
+    lo = min(prod.val, f.val)
+    first = next((e for e in range(lo, cert.check_prec) if prod._coeff(e) != f._coeff(e)), None)
+    if first is None:
         return None
-    first = next(
-        e for e in range(min(prod.val, f.val), cert.check_prec) if prod._coeff(e) != f._coeff(e)
-    )
     return f"commutator product does not reproduce the input: first difference at x^{first}"
 
 
@@ -113,26 +115,13 @@ def verify_certificate(cert):
 # bracket preimages: solve [b, w] = g
 
 
-def bracket_preimage_term(b, a, i, prec):
-    """w with [b*x^0, w] = a*x^i + O(x^prec), for b moved by sigma^i.
-
-    Since coefficients commute, [b, c*x^i] = (b - sigma^i(b))*c*x^i, so
-    w is the single term with c = (b - sigma^i(b))^(-1) * a.
-    """
-    ctx = b.ctx
-    d = b - ctx.sigma(b, i)
-    if not d:
-        raise WitnessFixed(i, f"sigma^{i} fixes the chosen witness")
-    if isinstance(a, int):
-        a = ctx.from_int(a)
-    return term(ctx, d.inverse() * a, i, prec)
-
-
 def bracket_preimage(b, g):
     """w with [b*x^0, w] = g, coefficient by coefficient.
 
-    Requires sigma^j(b) != b for every exponent j in the support of g;
-    otherwise WitnessFixed(j) is raised.
+    Since coefficients commute, [b, c*x^j] = (b - sigma^j(b))*c*x^j, so
+    each coefficient of g is divided by b - sigma^j(b).  Requires
+    sigma^j(b) != b for every exponent j in the support of g; otherwise
+    WitnessFixed(j) is raised.
     """
     ctx = g.ctx
     out = []
@@ -175,11 +164,10 @@ def _pairs_infinite(f):
     shifted = SkewSeries(
         ctx, m, [ctx.sigma(c, -n) for c in f.coeffs], prec - n
     )
-    w1 = bracket_preimage_term(t, 1, n, prec - m)
-    b1 = term(ctx, t, 0, prec - m - n)
+    w1 = bracket_preimage(t, term(ctx, ctx.one(), n, prec - m))
     w2 = bracket_preimage(t, shifted)
-    b2 = term(ctx, t, 0, prec - n - m)
-    return ((b1, w1), (b2, w2)), "InfiniteWitness"
+    b = term(ctx, t, 0, prec - s)
+    return ((b, w1), (b, w2)), "InfiniteWitness"
 
 
 # ---------------------------------------------------------------------------
@@ -202,50 +190,62 @@ def split_exponent(s, n):
     return s + 1, -1
 
 
-def factor_avoiding_multiples(f, u, v):
-    """f = g*h with g, h supported away from exponents divisible by n.
+def _factor(f, u, b0, c0, step):
+    """f = g*h with val(g) = u, solved in pull order; h has valuation v = val(f) - u.
 
-    Needs val(f) = u + v and n dividing none of u, v, u - v.  The
-    factors are built coefficient by coefficient: at each step exactly
-    one of the two candidate slots survives the support constraint, so
-    the triangular system stays solvable.  g has precision prec - v and
-    h has precision prec - u.
+    With b_t the coefficient of x^(u+t) in g and c_t = sigma^u(coefficient
+    of x^(v+t) in h), f's coefficient at x^(val(f)+t) is the sum over r of
+    b_r*sigma^r(c_(t-r)).  From b_0 = b0, c_0 = c0, step(t, acc) returns
+    (b_t, c_t) with b0*c_t + b_t*sigma^t(c0) = acc, f's coefficient less
+    the terms with 0 < r < t.
+    g has precision prec - v and h has precision prec - u.
     """
     ctx = f.ctx
-    n = ctx.sigma_order
     s = f.val
-    if u + v != s:
-        raise ValueError("split exponents must sum to the valuation")
     width = f.prec - s
-    bs = [ctx.zero()] * width  # bs[t] is the coefficient of x^(u+t) in g
-    cs = [ctx.zero()] * width  # cs[t] is the coefficient of x^(v+t) in h
-    bs[0] = f.coeffs[0]
-    cs[0] = ctx.one()
-    b0_inv = bs[0].inverse()
+    bs = [b0] + [ctx.zero()] * (width - 1)
+    cs = [c0] + [ctx.zero()] * (width - 1)
     for t in range(1, width):
         acc = f.coeffs[t]
         for r in range(1, t):
             if bs[r] and cs[t - r]:
-                acc = acc - bs[r] * ctx.sigma(cs[t - r], u + r)
-        if (u + t) % n:
-            bs[t] = acc
-        else:
-            cs[t] = ctx.sigma(b0_inv * acc, -u)
+                acc = acc - bs[r] * ctx.sigma(cs[t - r], r)
+        bs[t], cs[t] = step(t, acc)
+    v = s - u
     g = SkewSeries(ctx, u, bs, f.prec - v)
-    h = SkewSeries(ctx, v, cs, f.prec - u)
+    h = SkewSeries(ctx, v, [ctx.sigma(c, -u) if c else c for c in cs], f.prec - u)
     return g, h
+
+
+def factor_avoiding_multiples(f, u, v):
+    """f = g*h with g, h supported away from exponents divisible by n.
+
+    Needs val(f) = u + v and n dividing none of u, v, u - v.  At each
+    step exactly one of the two candidate slots, x^(u+t) in g or x^(v+t)
+    in h, survives the support constraint, so the triangular system
+    stays solvable.  g has precision prec - v and h has precision
+    prec - u.
+    """
+    ctx = f.ctx
+    n = ctx.sigma_order
+    if u + v != f.val:
+        raise ValueError("split exponents must sum to the valuation")
+    b0 = f.coeffs[0]
+    b0_inv = b0.inverse()
+    zero = ctx.zero()
+
+    def step(t, acc):
+        return (acc, zero) if (u + t) % n else (zero, b0_inv * acc)
+
+    return _factor(f, u, b0, ctx.one(), step)
 
 
 def _pairs_split(f, y, method):
     ctx = f.ctx
-    prec = f.prec
     u, v = split_exponent(f.val, ctx.sigma_order)
     g, h = factor_avoiding_multiples(f, u, v)
-    w1 = bracket_preimage(y, g)
-    b1 = term(ctx, y, 0, prec - v - u)
-    w2 = bracket_preimage(y, h)
-    b2 = term(ctx, y, 0, prec - u - v)
-    return ((b1, w1), (b2, w2)), method
+    b = term(ctx, y, 0, f.prec - f.val)
+    return ((b, bracket_preimage(y, g)), (b, bracket_preimage(y, h))), method
 
 
 # ---------------------------------------------------------------------------
@@ -273,45 +273,29 @@ def factor_into_l_pair(o4, c):
         raise K1Input("elements of k1 admit no L-pair factorisation")
     e2, se2 = o4.k2_basis
     scalars = ctx.k0_scalars()
-    k0_elems = ctx.k0_scalar_elements()
-    if ctx.sigma(c, 2) == c:
-        # c is sigma^2-fixed: both factors can be taken inside k2
-        for cand in _k2_lines(ctx, o4, k0_elems):
-            a = cand
-            b = a.inverse() * c
-            if _l_pair_ok(o4, a, b, c):
-                return a, b
+    fixed = ctx.sigma(c, 2) == c
+    if fixed:
+        # c is sigma^2-fixed: both factors can be taken inside k2, a = z
+        basis = [(scalars.one, scalars.zero), (scalars.zero, scalars.one)]
     else:
         # choose z in k2 with c*z back inside L, then split off z^(-1)
         cols = [
             (o4.full_coords(c * e2)[3],),
             (o4.full_coords(c * se2)[3],),
         ]
-        kb = kernel_from_columns(cols, scalars)
-        for vec in _kernel_lines(kb, k0_elems, scalars):
-            z = ctx.k0_scalar_to_elem(vec[0]) * e2 + ctx.k0_scalar_to_elem(vec[1]) * se2
-            if not z:
-                continue
-            a = z.inverse()
-            b = c * z
-            if _l_pair_ok(o4, a, b, c):
-                return a, b
+        basis = kernel_from_columns(cols, scalars)
+    for vec in _kernel_lines(basis, ctx.k0_scalar_elements(), scalars):
+        z = ctx.k0_scalar_to_elem(vec[0]) * e2 + ctx.k0_scalar_to_elem(vec[1]) * se2
+        if not z:
+            continue
+        a, b = (z, z.inverse() * c) if fixed else (z.inverse(), c * z)
+        if _l_pair_ok(o4, a, b, c):
+            return a, b
     raise DecompositionError("no valid L-pair factorisation was found")
 
 
-def _k2_lines(ctx, o4, k0_elems):
-    """One representative of each k0-line of k2 = span(e2, sigma(e2))."""
-    e2, se2 = o4.k2_basis
-    yield e2
-    yield se2
-    for lam in k0_elems:
-        scaled = ctx.k0_scalar_to_elem(lam) * e2
-        if scaled:
-            yield scaled + se2
-
-
 def _kernel_lines(kb, k0_elems, scalars):
-    """Line representatives inside the span of the kernel basis kb."""
+    """One vector per k0-line of span(kb): kb[0], then kb[1] + lam*kb[0]."""
     if not kb:
         return
     yield kb[0]
@@ -332,22 +316,15 @@ def factor_with_l_coeffs(f):
     """
     ctx = f.ctx
     o4 = ctx.build_order4_ctx()
-    s = f.val
-    prec = f.prec
     lead = f.coeffs[0]
     if o4.in_k1(lead):
         raise K1Leading("leading coefficient lies in k1; conjugate first")
     a0, b0 = factor_into_l_pair(o4, lead)
-    width = prec - s
     l_basis = o4.l_basis
-    bs = [a0] + [ctx.zero()] * (width - 1)  # coefficients of f1 at x^(s+t)
-    cps = [b0] + [ctx.zero()] * (width - 1)  # cps[t] = sigma^s(coeff of f2 at x^t)
     solvers = {}  # t mod 4 -> solver for that step's columns
-    for t in range(1, width):
-        acc = f.coeffs[t]
-        for r in range(1, t):
-            if bs[r] and cps[t - r]:
-                acc = acc - bs[r] * ctx.sigma(cps[t - r], r)
+
+    def step(t, acc):
+        # a0*c_t + b_t*sigma^t(b0) = acc over k0, with b_t and c_t in L
         tm = t % 4
         solve = solvers.get(tm)
         if solve is None:
@@ -359,24 +336,16 @@ def factor_with_l_coeffs(f):
         sol = solve(ctx.k0_vec(acc))
         if sol is None:
             raise DecompositionError("L-pair independence failed mid-factorisation")
-        cps[t] = o4.from_l_coords(sol[:3])
-        bs[t] = o4.from_l_coords(sol[3:])
-    f1 = SkewSeries(ctx, s, bs, prec)
-    f2 = SkewSeries(ctx, 0, [ctx.sigma(c, -s) for c in cps], prec - s)
-    return f1, f2
+        return o4.from_l_coords(sol[3:]), o4.from_l_coords(sol[:3])
+
+    return _factor(f, f.val, a0, b0, step)
 
 
 def _pairs_order4_l(f):
-    ctx = f.ctx
-    s = f.val
-    prec = f.prec
     f1, f2 = factor_with_l_coeffs(f)
-    one = ctx.one()
-    w1 = x_bracket_preimage(f1)
-    x1 = term(ctx, one, 1, prec - w1.val)
-    w2 = x_bracket_preimage(f2)
-    x2 = term(ctx, one, 1, prec - s - w2.val)
-    return ((x1, w1), (x2, w2)), "Order4L"
+    # x^1 to the width prec - s of both witnesses: w1 from x^(s-1), w2 from x^-1
+    x = term(f.ctx, f.ctx.one(), 1, f.prec - f.val + 1)
+    return ((x, x_bracket_preimage(f1)), (x, x_bracket_preimage(f2))), "Order4L"
 
 
 def _conjugator(f, o4):
@@ -403,18 +372,19 @@ def _conjugator(f, o4):
     raise DecompositionError("no conjugator moved the leading coefficient off k1")
 
 
-def _pairs_order4_conjugated(f, o4):
+def _conjugated(f, a, a_inv):
+    """a*f*a^(-1) for a constant a: c*x^i -> a*c*sigma^i(a^(-1))*x^i, same val and prec."""
     ctx = f.ctx
-    s = f.val
-    prec = f.prec
+    coeffs = [a * c * ctx.sigma(a_inv, i) if c else c for i, c in enumerate(f.coeffs, f.val)]
+    return SkewSeries(ctx, f.val, coeffs, f.prec)
+
+
+def _pairs_order4_conjugated(f, o4):
     u = _conjugator(f, o4)
-    big = prec - s + 2
-    fwd = term(ctx, u, 0, big)
-    g = fwd * f * fwd.inverse()
-    inner, _ = _pairs_order4_l(g)
-    back = term(ctx, u.inverse(), 0, big)
+    u_inv = u.inverse()
+    inner, _ = _pairs_order4_l(_conjugated(f, u, u_inv))
     pairs = tuple(
-        (conjugate(b, back), conjugate(w, back)) for b, w in inner
+        (_conjugated(b, u_inv, u), _conjugated(w, u_inv, u)) for b, w in inner
     )
     return pairs, "Order4Conjugated"
 

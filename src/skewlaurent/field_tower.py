@@ -208,15 +208,6 @@ class FieldCtx:
 
     sigma_order = None  # int for finite order, None for infinite
 
-    def sigma(self, a, i):
-        raise NotImplementedError
-
-    def field_spec(self):
-        raise NotImplementedError
-
-    def sigma_spec(self):
-        raise NotImplementedError
-
     # -- series kernels ----------------------------------------------------
     #
     # One product and one inverse for every context, on raw values through
@@ -301,18 +292,12 @@ class FieldCtx:
         sigma-degree is exactly n.  Raises NoWitness when n < min_degree.
         """
         if self.sigma_order is None:
-            return self._designated_witness()
+            return self.gen()
         if self.sigma_order < min_degree:
             raise NoWitness(
                 f"sigma has order {self.sigma_order}, below the requested degree {min_degree}"
             )
         return self._normal_basis_elem()
-
-    def _designated_witness(self):
-        raise InfiniteOrder("no designated witness for this context")
-
-    def _normal_basis_elem(self):
-        raise InfiniteOrder("normal bases require finite sigma order")
 
     # -- k0-linear algebra ------------------------------------------------
 
@@ -1259,9 +1244,6 @@ class RationalFunctionCtx(FieldCtx):
     @property
     def characteristic(self):
         return 0
-
-    def _designated_witness(self):
-        return self.gen()
 
     def field_spec(self):
         return "qt"

@@ -13,9 +13,9 @@ from skewlaurent.cli import (
 )
 
 from skewlaurent.decompose import (
+    METHODS,
     Certificate,
     bracket_preimage,
-    bracket_preimage_term,
     decompose,
     factor_avoiding_multiples,
     factor_into_l_pair,
@@ -47,7 +47,7 @@ from conftest import nonzero_elem, random_series
 def test_bracket_preimage_term_frozen(qt_shift):
     t = qt_shift.gen()
     # [t, c*x^1] = (t - (t+1))*c*x^1, so the preimage of x^1 is -x^1
-    w = bracket_preimage_term(t, 1, 1, 8)
+    w = bracket_preimage(t, term(qt_shift, qt_shift.one(), 1, 8))
     assert w == term(qt_shift, -qt_shift.one(), 1, 8)
     b = term(qt_shift, t, 0, 7)
     assert commutator(b, w).eq_to_prec(term(qt_shift, qt_shift.one(), 1, 8), 8)
@@ -56,10 +56,10 @@ def test_bracket_preimage_term_frozen(qt_shift):
 def test_bracket_preimage_term_fixed_witness(gf34):
     y = gf34.find_witness(4)
     with pytest.raises(WitnessFixed) as exc:
-        bracket_preimage_term(y, gf34.one(), 0, 5)
+        bracket_preimage(y, term(gf34, gf34.one(), 0, 5))
     assert exc.value.exponent == 0
     with pytest.raises(WitnessFixed):
-        bracket_preimage_term(y, gf34.one(), 4, 9)
+        bracket_preimage(y, term(gf34, gf34.one(), 4, 9))
 
 
 def test_bracket_preimage_random(gf25, gf35, gf34, qt_shift):
@@ -395,11 +395,14 @@ def test_certificates_are_deterministic(gf34, qt_shift):
 
 
 # ---------------------------------------------------------------------------
-# golden certificates over large fields (q > 2^16, polynomial backend)
+# golden certificates: large fields (q > 2^16, polynomial backend), then
+# Zech-table fields and Q(t)
 
 _F20 = ("gf(2^20)", "frob")
 _F58 = ("gf(5^8);poly=3,2,1,0,0,0,0,0,1", "frob^2")
 _F312 = ("gf(3^12);poly=2,1,0,0,0,1,0,0,0,0,0,0,1", "frob^3")
+_F34 = ("gf(3^4)", "frob")
+_F24 = ("gf(2^4)", "frob")
 # (field, input, route, SHA-256 of certificate_to_json).  Both moduli of
 # the order-4 fields are primitive, so g^E lies in k1 = {z : sigma(z) = -z}
 # exactly when E = M/2 mod M, M = (q - 1)/(q0 - 1): 16276 for GF(5^8),
@@ -434,6 +437,26 @@ GOLDEN = [
     (_F312, "(g^71540)*x^6 + (g^11+2)*x^7 + (g^4)*x^9 + O(x^14)", "Order4Conjugated",
      "8ebab1f4c117af30b7b21871775675ec697f5fac54a16f2186ebf4cee2b4fcfe"),
 ]
+SMALL_GOLDEN = [
+    (_F34, "(g^20)*x^2 + (g+1)*x^3 + (2)*x^5 + O(x^14)", "Order4Conjugated",
+     "fc29930dbc1d1e043abfc7ded578ac6723bd022dcd3907f38c48a5084ce6b60b"),
+    (_F34, "(g)*x^-2 + x + (g^3)*x^4 + O(x^10)", "Order4L",
+     "da83a7121947385813a2c25d9fbea01e68af1d324d2200433fff1879b418ee27"),
+    (_F34, "(g^2+1)*x^-3 + (g)*x^0 + O(x^9)", "Order4Split",
+     "b9428c2feeacd499262250d5e7a3a3333d49bb25f5eaa94dddefd2b357148ffd"),
+    # characteristic 2, order 4: experimental certificates
+    (_F24, "x^2 + (g)*x^3 + x^7 + O(x^12)", "Order4Conjugated",
+     "b46c74e0282079f0f67e87cdf728c1dd48283ba7b9aa690a4d5e018d856570a4"),
+    (_F24, "(g^5)*x^2 + (g)*x^3 + x^7 + O(x^12)", "Order4L",
+     "49be0a43ff3e66aa1cf07cfda7e82d19fb9538d32368bcc40098429b71c4b5a4"),
+    (("gf(2^5)", "frob"), "(g^3+1)*x^-2 + (g)*x^1 + O(x^10)", "DegreeAtLeast5",
+     "c0608eea83725cbb4de8b3723b1d37e371b9627836d9521b91450de5fb4ce341"),
+    (("qt", "shift"), "(t+1)/(t^2+2)*x^-1 + (t)*x^2 + O(x^8)", "InfiniteWitness",
+     "28c5b2abe8bac2828cb4770bed4e3cebad42a1a17ee75672a8d1ae11a5adb04a"),
+    (("qt", "scale:2"), "(1/2*t)*x^3 + (t^2-1)*x^5 + O(x^10)", "InfiniteWitness",
+     "a4cc1aa3bcefa7f6b695725b4b31a111f17cce26968b25f28c14705f69509ac9"),
+]
+GOLDEN += SMALL_GOLDEN
 
 
 @pytest.mark.parametrize(
@@ -446,3 +469,23 @@ def test_golden_large_field_certificates(spec, text, route, digest):
     js = certificate_to_json(cert)
     assert hashlib.sha256(js.encode()).hexdigest() == digest
     assert verify_certificate(certificate_from_json(js))
+
+
+def test_decompose_inverts_no_series(monkeypatch):
+    calls = []
+    inverse = SkewSeries.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(SkewSeries, "inverse", counted)
+    routes = set()
+    # every route; Order4Conjugated in odd characteristic and in characteristic 2
+    inputs = [(spec, text) for spec, text, _, _ in SMALL_GOLDEN] + [(_F34, "O(x^5)")]
+    for spec, text in inputs:
+        cert = decompose(parse_series(build_ctx(*spec), text))
+        routes.add(cert.method)
+        assert verify_certificate(cert)
+        assert calls == [], (cert.method, text)
+    assert routes == set(METHODS)
