@@ -18,7 +18,8 @@ depends on the order of sigma:
   both through the bracket with x itself; when the leading coefficient
   sits in the obstruction line k1, f is first conjugated by a constant u
   and the witnesses are conjugated back by u^(-1);
-* orders 2 and 3 are rejected (UnsupportedOrder).
+* orders 2 and 3 are rejected (UnsupportedOrder) for a nonzero f; a
+  zero f gets a ZeroInput certificate whatever the order.
 
 Both factorisations f = g*h share one triangular loop, _factor.
 
@@ -256,7 +257,10 @@ def _l_pair_ok(o4, a, b, c):
     ctx = o4.ctx
     if a * b != c or not (o4.in_l(a) and o4.in_l(b)):
         return False
-    return all(ctx.is_k0_independent([a, ctx.sigma(b, i)]) for i in range(4))
+    # for a != 0, {a, s} is k0-dependent iff s*a^(-1) lies in k0 = Fix(sigma)
+    a_inv = a.inverse()
+    quotients = (ctx.sigma(b, i) * a_inv for i in range(4))
+    return all(ctx.sigma(q, 1) != q for q in quotients)
 
 
 def factor_into_l_pair(o4, c):
@@ -278,11 +282,10 @@ def factor_into_l_pair(o4, c):
         # c is sigma^2-fixed: both factors can be taken inside k2, a = z
         basis = [(scalars.one, scalars.zero), (scalars.zero, scalars.one)]
     else:
-        # choose z in k2 with c*z back inside L, then split off z^(-1)
-        cols = [
-            (o4.full_coords(c * e2)[3],),
-            (o4.full_coords(c * se2)[3],),
-        ]
+        # choose z in k2 with c*z back inside L, the kernel of the trace to
+        # k0, then split off z^(-1); a trace lies in k0, so it vanishes
+        # exactly when its first k0-coordinate does
+        cols = [(ctx.k0_vec(ctx.k0_trace(c * b))[0],) for b in (e2, se2)]
         basis = kernel_from_columns(cols, scalars)
     for vec in _kernel_lines(basis, ctx.k0_scalar_elements(), scalars):
         z = ctx.k0_scalar_to_elem(vec[0]) * e2 + ctx.k0_scalar_to_elem(vec[1]) * se2
@@ -413,8 +416,9 @@ def _pairs_zero(f):
 def decompose(f):
     """Certificate that f is a product of two commutators, to f's precision.
 
-    Raises UnsupportedOrder for sigma of order 2 or 3, where no such
-    certificate is constructed.  Certificates over order-4 fields of
+    Raises UnsupportedOrder for a nonzero f when sigma has order 2 or 3,
+    where no such certificate is constructed; a zero f gets a ZeroInput
+    certificate at any order.  Certificates over order-4 fields of
     characteristic 2 are marked experimental (they are still verified).
     """
     ctx = f.ctx

@@ -55,7 +55,6 @@ from .linalg import (
     K0Maps,
     ModPScalars,
     ZechScalars,
-    dot,
     invert_matrix,
     kernel_from_columns,
     particular_solver,
@@ -200,10 +199,11 @@ def default_modulus(p, m):
 class FieldCtx:
     """Shared behaviour of coefficient-field contexts.
 
-    Subclasses provide element arithmetic, ``sigma``, the seam of the
-    series kernels, and (for finite order) a faithful k0-linear
-    vectorisation ``k0_vec`` of k together with the matching scalar
-    adapter ``k0_scalars``.
+    Subclasses provide element arithmetic, ``sigma`` and the seam of the
+    series kernels.  The structure that needs sigma of finite order (the
+    k0-linear algebra, the trace to k0 and the order-4 context) lives on
+    ``FiniteFieldCtx``; here ``k0_vec``, ``k0_scalars`` and
+    ``build_order4_ctx`` raise InfiniteOrder.
     """
 
     sigma_order = None  # int for finite order, None for infinite
@@ -308,56 +308,8 @@ class FieldCtx:
     def k0_scalars(self):
         raise InfiniteOrder("k0-linear algebra requires finite sigma order")
 
-    def k0_vec_basis(self):
-        """Elements of k whose k0_vec images are the standard basis vectors."""
-        raise InfiniteOrder("k0-linear algebra requires finite sigma order")
-
-    def k0_scalar_to_elem(self, c):
-        raise InfiniteOrder("k0-linear algebra requires finite sigma order")
-
-    def _k0_tables(self, basis):
-        """Lookup tables for _k0_combine over basis (plain data)."""
-        raise InfiniteOrder("k0-linear algebra requires finite sigma order")
-
-    def _k0_combine(self, tables, coeffs):
-        """sum_j coeffs[j]*basis[j] for k0 scalars coeffs, basis as in tables."""
-        raise InfiniteOrder("k0-linear algebra requires finite sigma order")
-
-    def k0_solver(self, columns):
-        """The particular solution over k0 (free variables zero) of the
-        system with these columns, or None, as a function of rhs."""
-        return particular_solver(columns, self.k0_scalars())
-
-    def is_k0_independent(self, elems):
-        vecs = [self.k0_vec(a) for a in elems]
-        return rank_of_vectors(vecs, self.k0_scalars()) == len(elems)
-
-    def sigma_minus_one_preimage(self, c):
-        """Some z with sigma(z) - z = c, free coordinates pinned to zero."""
-        cached = getattr(self, "_sig_minus_one", None)
-        if cached is None:
-            basis = self.k0_vec_basis()
-            cols = [self.k0_vec(self.sigma(b, 1) - b) for b in basis]
-            cached = (self.k0_solver(cols), self._k0_tables(basis))
-            self._sig_minus_one = cached
-        solve, tables = cached
-        sol = solve(self.k0_vec(c))
-        if sol is None:
-            raise NotInL("element is not in the image of sigma - 1")
-        return self._k0_combine(tables, sol)
-
     def build_order4_ctx(self):
-        if self.sigma_order is None:
-            raise InfiniteOrder("order-4 context requires sigma of order 4")
-        if self.sigma_order != 4:
-            raise UnsupportedOrder(
-                self.sigma_order, "order-4 context requires sigma of order 4"
-            )
-        cached = getattr(self, "_order4_ctx", None)
-        if cached is None:
-            cached = Order4Ctx(self)
-            self._order4_ctx = cached
-        return cached
+        raise InfiniteOrder("order-4 context requires sigma of order 4")
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +423,9 @@ class FiniteFieldCtx(FieldCtx):
     ints: residues mod p when d = 1, ``ZechScalars`` otherwise, where the
     int with base-p digits c_0, ..., c_(d-1) stands for sum_j c_j*beta_j
     over the GF(p)-basis beta of k0 that also orders k0_scalar_elements().
-    k0_vec and the order-4 coordinates are each one precomputed GF(p)
-    matrix applied to the coefficients (``K0Maps``).
+    k0_vec is one precomputed GF(p) matrix applied to the coefficients
+    (``K0Maps``).  The trace to k0, ``k0_trace``, sums the bound sigma
+    maps, and the order-4 subspace tests go through it or sigma.
     """
 
     def __init__(self, p, m, frob_power=1, modulus=None):
@@ -571,6 +524,14 @@ class FiniteFieldCtx(FieldCtx):
         if j == 0:
             return a
         return FFElem(self, self._sig_maps[j](a.value))
+
+    def k0_trace(self, a):
+        """Tr(a) = sum_(i<n) sigma^i(a), the trace from k down to k0."""
+        add, v = self._add, a.value
+        t = v
+        for sig in self._sig_maps[1:]:
+            t = add(t, sig(v))
+        return FFElem(self, t)
 
     # -- series-kernel seam (see FieldCtx) -----------------------------------
 
@@ -693,7 +654,7 @@ class FiniteFieldCtx(FieldCtx):
         return list(range(len(self._k0_values())))
 
     def _k0_setup(self):
-        """The K0Maps behind k0_vec, k0_scalars and Order4Ctx, built once.
+        """The K0Maps behind k0_vec and k0_scalars, built once.
 
         For d > 1, k0_vec inverts the GF(p)-linear map that takes the
         digits c_(i*d+j) to sum c_(i*d+j)*beta_j*sigma^i(y), y the
@@ -712,26 +673,17 @@ class FiniteFieldCtx(FieldCtx):
             k0.scalars = _log_tables(
                 p, len(elems), elems[1:], self._mul, self._add, self._pow, pos.__getitem__
             )
-            y = self._normal_basis_elem()
-            cols = [
-                self._digits((b * self.sigma(y, i)).value)
-                for i in range(self.sigma_order)
-                for b in self._k0_basis()
-            ]
+            cols = self._conjugate_digits(self._normal_basis_elem())
             inv = invert_matrix(list(zip(*cols)), ModPScalars(p))
             k0.vec_cols = k0.pack_columns(list(zip(*inv)))
         self._k0 = k0
         return k0
 
-    def _k0_linear(self, fn):
-        """Packed columns of a GF(p)-linear map fn from k to tuples of k0 scalars."""
-        k0 = self._k0_setup()
-        images = [fn(self.elem([0] * k + [1])) for k in range(self.m)]
-        return k0.pack_columns([k0.ungroup(out) for out in images])
-
-    def _k0_apply(self, cols, a):
-        """The map with packed columns cols at a, as a tuple of k0 scalars."""
-        return self._k0_setup().apply(cols, self._digits(a.value))
+    def _conjugate_digits(self, y):
+        """The digits of beta_j*sigma^i(y), for i < n and, within each i, j < d."""
+        beta = self._k0_basis()
+        n = self.sigma_order
+        return [self._digits((b * self.sigma(y, i)).value) for i in range(n) for b in beta]
 
     # -- witnesses and k0 vectorisation ------------------------------------
 
@@ -739,9 +691,7 @@ class FiniteFieldCtx(FieldCtx):
         cached = getattr(self, "_normal_value", None)
         if cached is not None:
             return FFElem(self, cached)
-        n = self.sigma_order
         rng = random.Random(f"{_WITNESS_SEED}:{self.field_spec()}:{self.sigma_spec()}")
-        beta = self._k0_basis()
         mod_p = ModPScalars(self.p)
         for _ in range(256):
             y = self.random_elem(rng)
@@ -749,10 +699,7 @@ class FiniteFieldCtx(FieldCtx):
                 continue
             # y is normal iff its conjugates are k0-independent, iff the
             # beta_j*sigma^i(y) are GF(p)-independent
-            vecs = [
-                self._digits((b * self.sigma(y, i)).value) for i in range(n) for b in beta
-            ]
-            if rank_of_vectors(vecs, mod_p) == self.m:
+            if rank_of_vectors(self._conjugate_digits(y), mod_p) == self.m:
                 self._normal_value = y.value
                 return y
         raise NoWitness("normal basis search exhausted its retry budget")
@@ -778,14 +725,46 @@ class FiniteFieldCtx(FieldCtx):
         return FFElem(self, self._k0_values()[c])
 
     def _k0_tables(self, basis):
+        """Lookup tables for _k0_combine over basis (plain data)."""
         return [[self._mul(a, b.value) for a in self._k0_values()] for b in basis]
 
     def _k0_combine(self, tables, coeffs):
+        """sum_j coeffs[j]*basis[j] for k0 scalars coeffs, basis as in tables."""
         add = self._add
         v = 0
         for tab, c in zip(tables, coeffs):
             v = add(v, tab[c])
         return FFElem(self, v)
+
+    def k0_solver(self, columns):
+        """The particular solution over k0 (free variables zero) of the
+        system with these columns, or None, as a function of rhs."""
+        return particular_solver(columns, self.k0_scalars())
+
+    def sigma_minus_one_preimage(self, c):
+        """Some z with sigma(z) - z = c, free coordinates pinned to zero."""
+        cached = getattr(self, "_sig_minus_one", None)
+        if cached is None:
+            basis = self.k0_vec_basis()
+            cols = [self.k0_vec(self.sigma(b, 1) - b) for b in basis]
+            cached = (self.k0_solver(cols), self._k0_tables(basis))
+            self._sig_minus_one = cached
+        solve, tables = cached
+        sol = solve(self.k0_vec(c))
+        if sol is None:
+            raise NotInL("element is not in the image of sigma - 1")
+        return self._k0_combine(tables, sol)
+
+    def build_order4_ctx(self):
+        if self.sigma_order != 4:
+            raise UnsupportedOrder(
+                self.sigma_order, "order-4 context requires sigma of order 4"
+            )
+        cached = getattr(self, "_order4_ctx", None)
+        if cached is None:
+            cached = Order4Ctx(self)
+            self._order4_ctx = cached
+        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -1278,7 +1257,9 @@ class Order4Ctx:
     * ``e2`` and sigma(e2) span k2 = {z : sigma^2(z) = -z}.
 
     Both k1 and k2 sit inside L, and k2 is closed under inversion of its
-    nonzero elements.
+    nonzero elements.  Membership has closed forms in sigma: L is the
+    kernel of the trace to k0 (additive Hilbert 90), and k1 is defined by
+    sigma itself.
 
     The context caches this object, which holds the context only weakly
     and its elements as packed values: a context without reference
@@ -1299,18 +1280,6 @@ class Order4Ctx:
         self._e1 = (y - sy + s2 - s3).value
         self._k2_basis = (e2.value, ctx.sigma(e2, 1).value)
         self._l_tables = ctx._k0_tables(l_basis)
-        scalars = ctx.k0_scalars()
-        full = list(l_basis) + [y]
-        vecs = [ctx.k0_vec(b) for b in full]
-        if len(vecs[0]) != 4:
-            raise UnsupportedOrder(ctx.sigma_order, "order-4 context needs [k:k0] = 4")
-        rows = [[vecs[j][i] for j in range(4)] for i in range(4)]
-        inv_rows = invert_matrix(rows, scalars)
-        self._scalars = scalars
-        # k0_vec followed by inv_rows, composed into one GF(p)-linear map
-        self._cols = ctx._k0_linear(
-            lambda a: tuple(dot(row, ctx.k0_vec(a), scalars) for row in inv_rows)
-        )
 
     @property
     def ctx(self):
@@ -1345,15 +1314,8 @@ class Order4Ctx:
         """The element with coordinates coords (k0 scalars) against l_basis."""
         return self.ctx._k0_combine(self._l_tables, coords)
 
-    def full_coords(self, a):
-        """Coordinates of a against (l_basis[0], l_basis[1], l_basis[2], y)."""
-        return self.ctx._k0_apply(self._cols, a)
-
     def in_l(self, a):
-        return self._scalars.is_zero(self.full_coords(a)[3])
+        return not self.ctx.k0_trace(a)
 
     def in_k1(self, a):
-        # k1 is spanned by e1 = l_basis[0] + l_basis[2]
-        c1, c2, c3, cy = self.full_coords(a)
-        s = self._scalars
-        return s.is_zero(c2) and s.is_zero(cy) and s.is_zero(s.sub(c1, c3))
+        return self.ctx.sigma(a, 1) == -a

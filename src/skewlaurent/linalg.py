@@ -3,8 +3,8 @@
 Gaussian elimination is generic over a scalar adapter (zero, one, add,
 sub, mul, neg, inv, is_zero): ``ModPScalars`` for GF(p) as residues and
 ``ZechScalars`` for GF(p^d) as ints on exp/log/Zech tables.  ``K0Maps``
-holds GF(p)-linear maps from GF(p^m) to tuples of such scalars as packed
-columns.  The field contexts use these for the k0-linear algebra, and
+holds the GF(p)-linear map behind k0_vec, from GF(p^m) to tuples of such
+scalars, as packed columns.  The field contexts use these for the k0-linear algebra, and
 ``ZechScalars`` (with its ``pow``) is also the arithmetic of every finite
 field small enough for tables.
 """
@@ -221,18 +221,18 @@ def dot(row, vec, scalars):
 
 
 class K0Maps:
-    """GF(p)-linear maps from k = GF(p^m) to tuples of k0 = GF(p^d) scalars.
+    """The k0 scalars of k = GF(p^m) and its GF(p)-linear map to k0-coordinates.
 
     A map is a list of m packed columns, the images of the basis
     1, x, ..., x^(m-1); applying it to the digits of an element is one
-    big-int combination (see slot_codec).  An output holds m/d scalars,
-    scalar i having base-p digits i*d, ..., i*d + d - 1 of the combination.
-    ``scalars`` and ``vec_cols`` (the columns of k0_vec when d > 1) are set
-    by the owning context.
+    big-int combination (see slot_codec).  An output holds m/d scalars of
+    k0 = GF(p^d), scalar i having base-p digits i*d, ..., i*d + d - 1 of
+    the combination.  ``scalars`` and ``vec_cols`` (the columns of k0_vec
+    when d > 1, its only map) are set by the owning context.
     """
 
     def __init__(self, p, m, d):
-        self.p, self.m, self.d = p, m, d
+        self.m, self.d = m, d
         _, self._split, self._join = slot_codec(p, m)
         self._pw = [p**j for j in range(d)]
         self.scalars = None
@@ -241,11 +241,6 @@ class K0Maps:
     def pack_columns(self, columns):
         """Packed form of m columns, each m digits in [0, p)."""
         return [self._join(col) for col in columns]
-
-    def ungroup(self, scalars):
-        """The m digits of a tuple of m/d k0 scalars."""
-        p = self.p
-        return [c // w % p for c in scalars for w in self._pw]
 
     def apply(self, cols, digits):
         ds = self._split(sum(map(mul, digits, cols)), self.m)

@@ -68,6 +68,11 @@ def k0_rank(ctx, elems):
     return rank_of_vectors([ctx.k0_vec(a) for a in elems], ctx.k0_scalars())
 
 
+def k0_independent(ctx, elems):
+    """Whether elems are linearly independent over k0."""
+    return k0_rank(ctx, elems) == len(elems)
+
+
 def coords(ctx, a, basis):
     """Coordinates of a against a k0-independent basis, or NotInSpan."""
     scalars = ctx.k0_scalars()
@@ -80,10 +85,10 @@ def coords(ctx, a, basis):
 
 def l_coords(o4, a):
     """Coordinates of a against o4.l_basis, or NotInL."""
-    fc = o4.full_coords(a)
-    if not o4.ctx.k0_scalars().is_zero(fc[3]):
-        raise NotInL("element is not in the image of sigma - 1")
-    return fc[:3]
+    try:
+        return coords(o4.ctx, a, o4.l_basis)
+    except NotInSpan as exc:
+        raise NotInL("element is not in the image of sigma - 1") from exc
 
 
 # Polynomials over GF(p) as digit tuples, ascending degree, trailing zeros

@@ -22,7 +22,7 @@ from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx
 from skewlaurent.reduced_trace import reduced_trace
 from skewlaurent.skew_series import SkewSeries, commutator, from_terms, term
 
-from conftest import k0_rank, nonzero_elem
+from conftest import k0_independent, k0_rank, nonzero_elem
 
 
 def _report(capsys, num, ok, text):
@@ -175,7 +175,7 @@ def test_criterion_4_exhaustive_f81_order4_geometry(capsys):
     pairs = 0
     for a in family:
         for b in family:
-            if not ctx.is_k0_independent([a, b]):
+            if not k0_independent(ctx, [a, b]):
                 continue
             prods = [a * l for l in o4.l_basis] + [b * l for l in o4.l_basis]
             if k0_rank(ctx, prods) != 4:
@@ -192,7 +192,7 @@ def test_criterion_4_exhaustive_f81_order4_geometry(capsys):
             a * b == c
             and o4.in_l(a)
             and o4.in_l(b)
-            and all(ctx.is_k0_independent([a, ctx.sigma(b, i)]) for i in range(4))
+            and all(k0_independent(ctx, [a, ctx.sigma(b, i)]) for i in range(4))
         )
         if not good:
             ok = False

@@ -30,7 +30,15 @@ from skewlaurent.field_tower import (
 from skewlaurent.linalg import particular_solver
 from skewlaurent.skew_series import from_terms
 
-from conftest import coords, k0_rank, l_coords, nonzero_elem, pdivmod, sigma_degree
+from conftest import (
+    coords,
+    k0_independent,
+    k0_rank,
+    l_coords,
+    nonzero_elem,
+    pdivmod,
+    sigma_degree,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +218,12 @@ def test_sigma_degree(gf34, qt_shift):
 def test_find_witness_finite(gf25, gf34):
     y = gf25.find_witness(5)
     conj = [gf25.sigma(y, i) for i in range(5)]
-    assert gf25.is_k0_independent(conj)
+    assert k0_independent(gf25, conj)
     assert sigma_degree(gf25, y, 5) == 5
     assert gf25.find_witness(5) == y  # deterministic
 
     y4 = gf34.find_witness(4)
-    assert gf34.is_k0_independent([gf34.sigma(y4, i) for i in range(4)])
+    assert k0_independent(gf34, [gf34.sigma(y4, i) for i in range(4)])
     with pytest.raises(NoWitness):
         gf34.find_witness(5)
 
@@ -239,7 +247,7 @@ def test_k0_vec_is_additive_and_faithful(gf34):
         assert tuple((x + y) % 3 for x, y in zip(va, vb)) == tuple(vab)
     basis = gf34.k0_vec_basis()
     assert len(basis) == 4
-    assert gf34.is_k0_independent(basis)
+    assert k0_independent(gf34, basis)
 
 
 def test_coords_and_solver(gf34):
@@ -316,6 +324,44 @@ def test_order4_ctx_subspaces(gf34):
             coords(gf34, a, o4.k2_basis)  # must not raise
 
 
+def _in_span(ctx, a, basis):
+    try:
+        coords(ctx, a, basis)
+    except NotInSpan:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "p, m, e, mod",
+    [
+        (2, 4, 1, None),  # characteristic 2: k1 = k0
+        (5, 8, 2, (3, 2, 1, 0, 0, 0, 0, 0, 1)),
+        (3, 12, 3, (2, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+        (2, 20, 5, None),
+    ],
+    ids=["gf2^4", "gf5^8/frob^2", "gf3^12/frob^3", "gf2^20/frob^5"],
+)
+def test_order4_membership_matches_coordinates(p, m, e, mod):
+    # in_l and in_k1 against the k0-coordinates of a over l_basis and e1
+    ctx = FiniteFieldCtx(p, m, frob_power=e, modulus=mod)
+    o4 = ctx.build_order4_ctx()
+    s = ctx.sigma
+    rng = random.Random(f"o4-membership:{p}:{m}:{e}")
+    hits = [0, 0]
+    for _ in range(60):
+        z = ctx.random_elem(rng)
+        # z, a member of L, of k1 and of k2
+        for a in (z, s(z, 1) - z, z - s(z, 1) + s(z, 2) - s(z, 3), z - s(z, 2)):
+            in_l = _in_span(ctx, a, o4.l_basis)
+            in_k1 = _in_span(ctx, a, (o4.e1,))
+            assert o4.in_l(a) == in_l, a
+            assert o4.in_k1(a) == in_k1, a
+            hits[0] += in_l
+            hits[1] += in_k1
+    assert 0 < hits[1] < hits[0] < 240
+
+
 def test_order4_requires_order_4(gf25, gf34):
     from skewlaurent.errors import UnsupportedOrder
 
@@ -332,7 +378,7 @@ def test_independent_pair_l_translates_span_k(gf34):
     while done < 60:
         a = nonzero_elem(gf34, rng)
         b = nonzero_elem(gf34, rng)
-        if not gf34.is_k0_independent([a, b]):
+        if not k0_independent(gf34, [a, b]):
             continue
         prods = [a * l for l in o4.l_basis] + [b * l for l in o4.l_basis]
         assert k0_rank(gf34, prods) == 4
@@ -694,7 +740,7 @@ def test_used_context_is_freed_without_the_cycle_collector():
             if ctx.sigma_order == 4:
                 o4 = ctx.build_order4_ctx()
                 ctx.sigma_minus_one_preimage(o4.l_basis[0])
-                o4.from_l_coords(o4.full_coords(o4.e2)[:3])
+                o4.from_l_coords(l_coords(o4, o4.e2))
                 del o4
             ref = weakref.ref(ctx)
             del ctx, y

@@ -1,15 +1,20 @@
 """Regular representation over k((x^n)) and the reduced trace."""
 
+import importlib
 import random
 
 import pytest
 
 from skewlaurent.decompose import decompose
 from skewlaurent.errors import InfiniteOrder
+from skewlaurent.field_tower import FiniteFieldCtx
 from skewlaurent.reduced_trace import matrix_rep, reduced_trace
-from skewlaurent.skew_series import commutator, term, zero
+from skewlaurent.skew_series import SkewSeries, commutator, term, zero
 
 from conftest import random_series
+
+# the package re-exports the function reduced_trace under the module's name
+rtmod = importlib.import_module("skewlaurent.reduced_trace")
 
 
 def test_rep_of_one_is_identity(gf34):
@@ -135,3 +140,63 @@ def test_infinite_order_rejected(qt_shift):
         matrix_rep(term(qt_shift, qt_shift.one(), 0, 4))
     with pytest.raises(InfiniteOrder):
         reduced_trace(term(qt_shift, qt_shift.gen(), 1, 5))
+
+
+def _diagonal_sum(f):
+    entries = matrix_rep(f).entries
+    acc = entries[0][0]
+    for i in range(1, len(entries)):
+        acc = acc + entries[i][i]
+    return acc
+
+
+@pytest.mark.parametrize(
+    "p, m, e, mod",
+    [
+        (3, 4, 1, None),
+        (3, 5, 1, None),
+        (2, 8, 1, None),
+        (2, 8, 2, None),
+        (5, 8, 2, (3, 2, 1, 0, 0, 0, 0, 0, 1)),
+        (3, 12, 3, (2, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+        (2, 20, 5, None),
+    ],
+    ids=[
+        "gf3^4",
+        "gf3^5",
+        "gf2^8",
+        "gf2^8/frob^2",
+        "gf5^8/frob^2",
+        "gf3^12/frob^3",
+        "gf2^20/frob^5",
+    ],
+)
+def test_trace_is_the_diagonal_sum_of_matrix_rep(p, m, e, mod):
+    # structural equality: the same val, prec and coefficients
+    ctx = FiniteFieldCtx(p, m, frob_power=e, modulus=mod)
+    n = ctx.sigma_order
+    rng = random.Random(f"trd-diagonal:{p}:{m}:{e}")
+    zero_elem = ctx.zero()
+    precs = set()
+    for width in range(41):
+        for val in (-width - 1, rng.randint(-9, 9)):
+            for density in (0.0, 0.3, 1.0):  # 0.0: zero to its precision
+                coeffs = [
+                    ctx.random_elem(rng) if rng.random() < density else zero_elem
+                    for _ in range(width)
+                ]
+                f = SkewSeries(ctx, val, coeffs, val + width)
+                assert reduced_trace(f) == _diagonal_sum(f), f
+                precs.add(f.prec % n)
+    assert len(precs) == n  # every residue of prec mod n, 0 among them
+
+
+def test_trace_does_not_build_the_matrix(gf34, monkeypatch):
+    def refuse(f):
+        raise AssertionError("reduced_trace built the matrix representation")
+
+    monkeypatch.setattr(rtmod, "matrix_rep", refuse)
+    g = gf34.gen()
+    f = SkewSeries(gf34, 4, [g, gf34.zero(), g] + [gf34.zero()] * 5, 12)
+    tr = g + gf34.sigma(g, 1) + gf34.sigma(g, 2) + gf34.sigma(g, 3)
+    assert reduced_trace(f) == term(gf34, tr, 4, 12)
