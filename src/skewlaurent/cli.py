@@ -436,11 +436,33 @@ def _typed(obj, key, kind):
     return value
 
 
-def obj_to_series(ctx, obj, slack=0):
+def _coefficient_reader(ctx):
+    """text -> element for the coefficients of one certificate.
+
+    Each distinct text is read once, kept in a memo that lives as long as
+    the returned function: directly when it is exactly what format_elem
+    prints, by parse_element otherwise, so every other text keeps the
+    parser's result, error and budget."""
+    memo = {}
+
+    def read(text):
+        if type(text) is not str:  # before the memo: a list is unhashable
+            return parse_element(ctx, text)  # the parser's TypeError
+        out = memo.get(text)
+        if out is None:
+            out = ctx.read_formatted(text)
+            if out is None:
+                out = parse_element(ctx, text)
+            memo[text] = out
+        return out
+
+    return read
+
+
+def obj_to_series(ctx, obj, read, slack=0):
     val, prec = _typed(obj, "val", int), _typed(obj, "prec", int)
     _check_window(val, prec, ValueError, slack)
-    # parse_element raises TypeError for a coefficient that is not a str
-    coeffs = [parse_element(ctx, c) for c in _typed(obj, "coeffs", list)]
+    coeffs = [read(c) for c in _typed(obj, "coeffs", list)]
     return SkewSeries(ctx, val, coeffs, prec)
 
 
@@ -465,12 +487,16 @@ def certificate_from_json(text):
         pairs = _typed(obj, "pairs", list)
         if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
             raise TypeError("'pairs' holds something other than [b, w] lists")
+        read = _coefficient_reader(ctx)
         pairs = tuple(
-            (obj_to_series(ctx, b, _WITNESS_SLACK), obj_to_series(ctx, w, _WITNESS_SLACK))
+            (
+                obj_to_series(ctx, b, read, _WITNESS_SLACK),
+                obj_to_series(ctx, w, read, _WITNESS_SLACK),
+            )
             for b, w in pairs
         )
         return Certificate(
-            input=obj_to_series(ctx, obj["input"]),
+            input=obj_to_series(ctx, obj["input"], read),
             pairs=pairs,
             method=_typed(obj, "method", str),
             check_prec=_typed(obj, "prec", int),

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import weakref
 from fractions import Fraction
 from math import fsum, gcd
@@ -71,6 +72,13 @@ _P_LIMIT = 1 << 32
 _Q_LIMIT = 1 << 64
 _SEARCH_LIMIT = 1024
 _WITNESS_SEED = "normal-basis-search"
+# One term of the text FiniteFieldCtx.format_elem prints: c*g^i, c*g, g^i
+# or g with 1 < c and 1 < i, or a constant c >= 1, all without leading
+# zeros.  Numerals stay short: p < 2^32 and m <= 64.
+_TERM_RE = re.compile(
+    r"(?:([2-9]|[1-9][0-9]{1,9})\*)?g(?:\^([2-9]|[1-9][0-9]))?"  # coefficient, exponent
+    r"|([1-9][0-9]{0,9})"  # constant
+)
 
 
 def _is_prime(n):
@@ -604,6 +612,26 @@ class FiniteFieldCtx(FieldCtx):
             else:
                 parts.append(f"g^{i}" if c == 1 else f"{c}*g^{i}")
         return "+".join(parts) if parts else "0"
+
+    def read_formatted(self, text):
+        """The element that format_elem prints as text, or None for any text
+        it does not print (such as "1*g", "g^1", "(g)" or " g")."""
+        if text == "0":
+            return FFElem(self, 0)
+        ds = [0] * self.m
+        top = self.m  # exponents fall strictly, from below m
+        for part in text.split("+"):
+            term = _TERM_RE.fullmatch(part)
+            if term is None:
+                return None
+            coef, power, const = term.groups()
+            i = 0 if const else int(power) if power else 1
+            c = int(const or coef or 1)
+            if i >= top or c >= self.p:
+                return None
+            ds[i] = c
+            top = i
+        return FFElem(self, self._pack(ds))
 
     def field_spec(self):
         poly = ",".join(str(c) for c in self.modulus)
@@ -1241,6 +1269,10 @@ class RationalFunctionCtx(FieldCtx):
 
     def format_elem(self, a):
         return str(a)
+
+    def read_formatted(self, text):
+        """None: Q(t) coefficient text is always read by the parser."""
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import skewlaurent.cli as cli_module
 from skewlaurent.cli import (
     build_ctx,
     certificate_from_json,
@@ -328,6 +329,116 @@ def test_cli_verify_rejects_certificates_of_the_wrong_types():
         assert "Traceback" not in err
     code, out, _ = run_cli(["verify", "-"], stdin_text=json.dumps(good))
     assert code == 0 and out.startswith("valid")
+
+
+def test_cli_verify_keeps_the_parser_message_for_coefficients_of_other_types(gf34):
+    code, out, _ = run_cli(
+        ["decompose", "--field", "gf(3^4)", "--sigma", "frob", "(g)*x^-2 + x + O(x^10)"]
+    )
+    assert code == 0
+    good = json.loads(out)
+    for value in (1, None, ["g"], {"g": 1}):
+        with pytest.raises(TypeError) as parser_error:
+            parse_element(gf34, value)
+        expect = f"error: malformed certificate: {parser_error.value}\n"
+        # the first coefficient read, and one read after the memo has filled
+        for series in (lambda c: c["pairs"][0][0], lambda c: c["input"]):
+            cert = json.loads(json.dumps(good))
+            series(cert)["coeffs"][0] = value
+            code, out, err = run_cli(["verify", "-"], stdin_text=json.dumps(cert))
+            assert (code, out, err) == (2, "", expect), value
+
+
+# ---------------------------------------------------------------------------
+# the direct reader of format_elem's text
+
+
+def _reader_fields():
+    return (
+        FiniteFieldCtx(2, 20),
+        FiniteFieldCtx(5, 8, frob_power=2),
+        FiniteFieldCtx(3, 12, frob_power=3),
+    )
+
+
+def test_read_formatted_inverts_format_elem(gf34, gf28):
+    rng = random.Random("read-formatted")
+    cases = [(ctx, list(ctx.elements())) for ctx in (gf34, gf28)]
+    cases += [(ctx, [ctx.random_elem(rng) for _ in range(500)]) for ctx in _reader_fields()]
+    for ctx, elems in cases:
+        for a in elems:
+            text = ctx.format_elem(a)
+            back = ctx.read_formatted(text)
+            assert back == a and back == parse_element(ctx, text), (ctx, text)
+
+
+_NON_CANONICAL = (
+    "g^1",
+    "1*g",
+    "g^0",
+    "g+g",
+    "g^3+g^5",
+    "01",
+    " g",
+    "g ^2",
+    "+g",
+    "g+",
+    "(g)+(g)",
+    "99999999999*g",
+    "9" * 5000,
+    "",
+)
+
+
+def test_read_formatted_leaves_other_texts_to_the_parser(gf34, gf28):
+    for ctx in (gf34, gf28) + _reader_fields():
+        cert = decompose(term(ctx, ctx.gen(), 1, 9))
+        obj = json.loads(certificate_to_json(cert))
+        b = obj["pairs"][0][0]
+        # p*g and g^m: on GF(3^4), "3*g" and "g^4"
+        for text in _NON_CANONICAL + (f"{ctx.p}*g", f"g^{ctx.m}"):
+            assert ctx.read_formatted(text) is None, (ctx, text)
+            b["coeffs"][0] = text
+            try:
+                expect = parse_element(ctx, text)
+            except SeriesSyntaxError as exc:
+                with pytest.raises(SeriesSyntaxError) as got:
+                    certificate_from_json(json.dumps(obj))
+                assert str(got.value) == str(exc), (ctx, text)
+            else:
+                back = certificate_from_json(json.dumps(obj))
+                assert back.pairs[0][0].coeff_at(b["val"]) == expect, (ctx, text)
+
+
+def test_certificate_reader_builds_a_parser_only_off_the_direct_path(
+    monkeypatch, gf34, qt_shift
+):
+    built = []
+
+    class CountingParser(cli_module._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(args[1])
+            super().__init__(*args, **kwargs)
+
+    rng = random.Random("reader-path")
+    certs = {
+        ctx: certificate_to_json(decompose(random_series(ctx, rng, -3, 3, 10)))
+        for ctx in (gf34, qt_shift) + _reader_fields()[:2]
+    }
+    monkeypatch.setattr(cli_module, "_Parser", CountingParser)
+    for ctx, js in certs.items():
+        built.clear()
+        certificate_from_json(js)
+        obj = json.loads(js)
+        series = [obj["input"]] + [s for pair in obj["pairs"] for s in pair]
+        texts = {c for s in series for c in s["coeffs"]}
+        if ctx is qt_shift:
+            # one parser per distinct text, and no memo kept across calls
+            assert sorted(built) == sorted(texts)
+            certificate_from_json(js)
+            assert len(built) == 2 * len(texts)
+        else:
+            assert built == [], ctx
 
 
 # ---------------------------------------------------------------------------
