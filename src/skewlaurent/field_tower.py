@@ -13,11 +13,15 @@ Elements are exact.  A finite-field element is a packed int, and its
 context binds one set of operations at construction, chosen by the
 field size q.  Fields of at most _TABLE_LIMIT elements pack the
 coefficients in base p and compute on exp/log/Zech tables
-(``linalg.ZechScalars``), built by walking the powers of a generator
-with the packed kernel.  Larger fields compute on that kernel itself
-(``packed``): coefficients one per bit (p = 2) or one per byte-aligned
-slot (odd p), big-int products, extended-Euclid inverses, and sigma^j
-as a precomputed GF(p)-linear map.  A Q(t)
+(``linalg.ZechScalars``), where sigma^j permutes the logs.  When x
+generates the multiplicative group, as it does for the Conway moduli,
+the tables are the powers of x walked on those base-p ints (a digit
+shift less a multiple of the modulus), and the walk also proves the
+modulus irreducible; otherwise Rabin's test and a walk over the powers
+of another generator run on the packed kernel.  Larger fields compute
+on that kernel itself (``packed``): coefficients one per bit (p = 2) or
+one per byte-aligned slot (odd p), big-int products, extended-Euclid
+inverses, and sigma^j as a precomputed GF(p)-linear map.  A Q(t)
 element is a pair n/d of integer-coefficient polynomials, coprime over
 Q[t], with joint integer content 1 and a positive leading coefficient
 of d.  Q(t) arithmetic is fraction-free: gcds over Z[t] run a primitive
@@ -117,7 +121,7 @@ def _log_tables(p, q, candidates, mul, add, pow_, index):
     The generator is the first of the nonzero candidates whose power
     (q-1)/r is not 1 for any prime r dividing q - 1 (1 stands for one).
     Its powers are walked with mul, 1 + g^i is taken with add, and index
-    gives the int that stands for each power in the tables.
+    gives the int that stands for each element in the tables.
     """
     qm1 = q - 1
     fac = _prime_factors(qm1)
@@ -125,25 +129,59 @@ def _log_tables(p, q, candidates, mul, add, pow_, index):
     powers = [1]
     for _ in range(qm1 - 1):
         powers.append(mul(powers[-1], gen))
-    log = {v: i for i, v in enumerate(powers)}
-    zech = [log.get(add(1, v), -1) for v in powers]
-    return ZechScalars(p, [index(v) for v in powers], zech)
+    return ZechScalars(p, [index(v) for v in powers], [index(add(1, v)) for v in powers])
 
 
-def _is_irreducible(mod, p):
+def _x_tables(p, m, mod):
+    """``ZechScalars`` of GF(p)[x]/(mod) on base-p ints with generator x, or None.
+
+    The powers of x are walked through the table of v -> x*v: the digits
+    of v shifted up, plus its lead digit times x^m = -(mod - x^m).  When
+    x^(q-1) = 1 and no earlier power is 1, the ring has q - 1 units, so
+    it is a field and mod is irreducible.  None means x is not primitive
+    or mod is reducible.  1 + x^i differs from x^i in digit 0 alone.
+    """
+    q = p**m
+    qm1 = q - 1
+    times_x = list(range(0, q, p))  # lead digit 0: a shift
+    x_m = [-c % p for c in mod[:m]]
+    for d in range(1, p):
+        t = [d * c % p for c in x_m]
+        block = [t[0]]  # digit 0 of x*v: d times that of x^m
+        place = p
+        for k in range(1, m):  # digit k: v's digit k - 1 plus d times that of x^m
+            col = [(c + t[k]) % p * place for c in range(p)]
+            block = [a + b for b in col for a in block]
+            place *= p
+        times_x += block
+    exp = [1]
+    v = 1
+    for _ in range(qm1 - 1):
+        v = times_x[v]
+        exp.append(v)
+    if times_x[v] != 1 or exp.count(1) != 1:
+        return None
+    plus_one = list(range(1, q + 1))
+    plus_one[p - 1 :: p] = range(0, q, p)  # digit 0 wraps from p - 1 to 0
+    return ZechScalars(p, exp, list(map(plus_one.__getitem__, exp)))
+
+
+def _is_irreducible(mod, p, kern=None):
     """Rabin's test for a monic polynomial f over GF(p).
 
     f of degree m is irreducible iff x^(p^m) = x mod f and x^(p^(m/r)) - x
     is a unit mod f for every prime r dividing m.  The powers and the
     unit test (an extended Euclidean inverse) run in the packed
-    arithmetic of GF(p)[x]/(f), which needs no irreducibility.
+    arithmetic of GF(p)[x]/(f), kern when given, which needs no
+    irreducibility.
     """
     m = len(mod) - 1
     if m < 1:
         return False
     if m == 1:
         return True
-    kern = _kernel(p, m, mod)
+    if kern is None:
+        kern = _kernel(p, m, mod)
     frob = [kern.x]  # frob[i] = x^(p^i) mod f
     for _ in range(m):
         frob.append(kern.pow(frob[-1], p))
@@ -418,8 +456,10 @@ class FiniteFieldCtx(FieldCtx):
     binds _add, _neg, _mul, _inv, _pow and one callable per power of
     sigma, and nothing else branches on the backend.  Up to _TABLE_LIMIT
     elements an element is its base-p packed coefficient vector, the
-    operations are those of a ``ZechScalars`` (exp/log/Zech tables built
-    on the packed kernel), and sigma^j is a permutation table.  Larger
+    operations are those of a ``ZechScalars`` (exp/log/Zech tables: the
+    powers of x walked on base-p ints when x is primitive, else those of
+    another generator walked with the packed kernel), and sigma^j is a
+    permutation table, g^i -> g^(i*p^(e*j)).  Larger
     fields bind the packed kernel's operations: ``PackedGF2`` (bit-packed,
     XOR sums, shift-XOR products) for p = 2 and ``PackedOddField``
     (Kronecker-packed) for odd p.  Both invert by the extended Euclidean
@@ -457,12 +497,10 @@ class FiniteFieldCtx(FieldCtx):
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise FieldSpecError(f"modulus must be monic of degree {m}")
-        if not _is_irreducible(modulus, p):
-            raise FieldSpecError(f"modulus {list(modulus)} is reducible over GF({p})")
 
         self.p = p
         self.m = m
-        self.q = p**m
+        self.q = q = p**m
         self.frob_power = frob_power
         self.e = e
         self.modulus = modulus
@@ -471,7 +509,17 @@ class FiniteFieldCtx(FieldCtx):
         self.key = ("gf", p, m, e, modulus)
         self._gen_value = p
         self._k0 = None
-        self._bind_backend(_kernel(p, m, modulus, self.sigma_order))
+        # A table field whose x is primitive needs no kernel and no Rabin test.
+        ops = _x_tables(p, m, modulus) if q <= _TABLE_LIMIT else None
+        if ops is None:
+            kern = _kernel(p, m, modulus, self.sigma_order)
+            if not _is_irreducible(modulus, p, kern):
+                raise FieldSpecError(f"modulus {list(modulus)} is reducible over GF({p})")
+            ops = kern
+            if q <= _TABLE_LIMIT:
+                candidates = map(kern.from_base_p, itertools.chain(range(p, q), range(2, p)))
+                ops = _log_tables(p, q, candidates, kern.mul, kern.add, kern.pow, kern.to_base_p)
+        self._bind_backend(ops)
 
     # -- representation helpers ------------------------------------------
     #
@@ -494,33 +542,31 @@ class FiniteFieldCtx(FieldCtx):
     def _from_base_p(self, v):
         return v
 
-    def _bind_backend(self, kern):
-        """Bind the operations and sigma^j maps of the backend q selects."""
+    def _bind_backend(self, ops):
+        """Bind the operations and sigma^j maps of ops, the backend q selects:
+        a ``ZechScalars`` up to _TABLE_LIMIT elements, else the packed kernel."""
         p, q = self.p, self.q
         step = p**self.e  # sigma(a) = a^step
         if q <= _TABLE_LIMIT:
-            candidates = map(kern.from_base_p, itertools.chain(range(p, q), range(2, p)))
-            ops = _log_tables(p, q, candidates, kern.mul, kern.add, kern.pow, kern.to_base_p)
-            sig1 = [ops.pow(v, step) for v in range(q)]
+            sig1 = ops.power_table(step)
             maps = [None, sig1.__getitem__]
             tab = sig1
             for _ in range(2, self.sigma_order):
-                tab = [sig1[v] for v in tab]
+                tab = list(map(sig1.__getitem__, tab))
                 maps.append(tab.__getitem__)
         else:
-            ops = kern
-            self._digits, self._pack, self._from_base_p = kern.digits, kern.pack, kern.from_base_p
-            self._gen_value = kern.x
+            self._digits, self._pack, self._from_base_p = ops.digits, ops.pack, ops.from_base_p
+            self._gen_value = ops.x
             # sigma(x^i) = x^(i*step): the images of the basis under sigma^j
-            x_step = kern.pow(kern.x, step)
+            x_step = ops.pow(ops.x, step)
             images = [1]
             for _ in range(self.m - 1):
-                images.append(kern.mul(images[-1], x_step))
-            sig1 = kern.linear(images)
+                images.append(ops.mul(images[-1], x_step))
+            sig1 = ops.linear(images)
             maps = [None, sig1]
             for _ in range(2, self.sigma_order):
                 images = [sig1(v) for v in images]
-                maps.append(kern.linear(images))
+                maps.append(ops.linear(images))
         self._add, self._neg, self._mul, self._inv = ops.add, ops.neg, ops.mul, ops.inv
         if p == 2:  # base-2 packing: a sum is the XOR of the coefficient bits
             self._add = xor

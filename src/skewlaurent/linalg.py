@@ -50,21 +50,23 @@ class ZechScalars:
     """GF(p^d) scalars as ints in [0, p^d), on exp/log/Zech tables.
 
     ``exp[i]`` is the int standing for g^i, g a generator of the
-    multiplicative group, and ``zech[i]`` is the log of 1 + g^i (-1 when
-    that is 0).  The meaning of the ints is fixed by whoever builds the
-    tables; 0 always stands for 0 and ``one`` for 1.
+    multiplicative group, and ``one_plus[i]`` the int standing for
+    1 + g^i.  The meaning of the ints is fixed by whoever builds the
+    tables; 0 always stands for 0 and ``one`` for 1.  The Zech table
+    holds the log of 1 + g^i, -1 when that is 0.
     """
 
     __slots__ = ("zero", "one", "_exp", "_log", "_log1p", "_qm1", "_neg_log")
 
-    def __init__(self, p, exp, zech):
+    def __init__(self, p, exp, one_plus):
         qm1 = len(exp)
-        log = [0] * (qm1 + 1)
+        log = [-1] * (qm1 + 1)  # 0 has no log
         for i, v in enumerate(exp):
             log[v] = i
         self.zero = 0
         self.one = exp[0]
-        self._exp, self._log, self._log1p, self._qm1 = exp, log, zech, qm1
+        self._exp, self._log, self._qm1 = exp, log, qm1
+        self._log1p = list(map(log.__getitem__, one_plus))
         self._neg_log = 0 if p == 2 else qm1 // 2
 
     # Logs differ by less than q - 1, so a negative index into a table of
@@ -110,6 +112,16 @@ class ZechScalars:
                 return self.one
             raise ZeroNotInvertible("0 has no negative powers")
         return self._exp[self._log[a] * k % self._qm1]
+
+    def power_table(self, k):
+        """The list of a^k over every int a in [0, q), for k > 0.
+
+        A power map permutes the logs: (g^i)^k = g^(i*k mod (q - 1)).
+        """
+        exp, qm1 = self._exp, self._qm1
+        out = [exp[i * k % qm1] for i in self._log]
+        out[0] = 0
+        return out
 
     def is_zero(self, a):
         return a == 0

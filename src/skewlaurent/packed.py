@@ -1,8 +1,9 @@
 """Packed arithmetic in GF(p^m) = GF(p)[x]/(f).
 
-Fields past the table limit compute on it; smaller ones walk the powers
-of a generator with it to build their Zech tables, and Rabin's test runs
-on it for every field.
+Fields past the table limit compute on it.  Rabin's test runs on it, in
+the default-modulus search and for every modulus that a table field's
+walk over the powers of x does not prove irreducible; such a table field
+also walks the powers of another generator with it for its Zech tables.
 
 An element is one Python int holding its m coefficients over GF(p):
 

@@ -21,7 +21,7 @@ from skewlaurent.cli import (
 )
 from skewlaurent.decompose import decompose, verify_certificate
 from skewlaurent.errors import FieldSpecError, SeriesSyntaxError
-from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx
+from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx, _x_tables
 from skewlaurent.skew_series import SkewSeries, term
 
 from conftest import random_series
@@ -705,6 +705,36 @@ def test_cli_rejects_fields_past_the_budget():
         "gf(10007^3);poly=1,1,0,1",
     ):
         assert isinstance(build_ctx(field, "frob"), FiniteFieldCtx)
+
+
+def test_cli_rejects_bad_moduli_with_unchanged_messages():
+    # table fields test their modulus by the walk over the powers of x,
+    # larger ones by Rabin's test; both give the same messages
+    cases = {
+        "gf(2^4);poly=1,0,1,0,1": "modulus [1, 0, 1, 0, 1] is reducible over GF(2)",
+        "gf(2^2);poly=1,0,1": "modulus [1, 0, 1] is reducible over GF(2)",
+        "gf(3^4);poly=0,0,0,0,1": "modulus [0, 0, 0, 0, 1] is reducible over GF(3)",
+        "gf(3^4);poly=1,0,0,0,2": "modulus must be monic of degree 4",
+        "gf(3^4);poly=2,0,0,2": "modulus must be monic of degree 4",
+        "gf(2^20);poly=1,1" + ",0" * 17 + ",1,1": "modulus [1, 1"
+        + ", 0" * 17
+        + ", 1, 1] is reducible over GF(2)",
+    }
+    for field, message in cases.items():
+        code, out, err = run_cli(["trace", "--field", field, "--sigma", "frob", "x"])
+        assert code == 2 and out == "" and err == f"error: {message}\n", field
+
+
+def test_cli_round_trip_when_x_is_not_primitive():
+    # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5 in GF(16),
+    # so the Zech tables come from the generator walk over the packed kernel
+    assert _x_tables(2, 4, (1, 1, 1, 1, 1)) is None
+    field = "gf(2^4);poly=1,1,1,1,1"
+    for text in ("x^2 + (g)*x^3 + x^7 + O(x^12)", "(g^3+1)*x + (g)*x^2 + x^5 + O(x^14)"):
+        code, cert, err = run_cli(["decompose", "--field", field, "--sigma", "frob", text])
+        assert code == 0, (text, err)
+        code, out, err = run_cli(["verify", "-"], stdin_text=cert)
+        assert code == 0 and out.startswith("valid: "), (text, out, err)
 
 
 def test_cli_exit_code_3_for_unsupported():

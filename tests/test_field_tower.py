@@ -4,7 +4,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd
 from operator import add, mul, sub
 
@@ -23,9 +23,14 @@ from skewlaurent.errors import (
 from skewlaurent.field_tower import (
     _STANDARD_POLYS,
     _is_irreducible,
+    _kernel,
+    _log_tables,
+    _prime_factors,
+    _x_tables,
     _zgcd,
     FiniteFieldCtx,
     RationalFunctionCtx,
+    default_modulus,
 )
 from skewlaurent.linalg import particular_solver
 from skewlaurent.skew_series import from_terms
@@ -704,9 +709,9 @@ def test_ratfunc_str_golden(spec):
     assert [str(x) for x in elems] == _GOLDEN_STR[spec]
 
 
-def test_rabin_test_matches_trial_division():
-    # every monic polynomial of small degree, against division by all
-    # monic polynomials of degree 1 .. m/2
+def _monic_by_trial_division():
+    """(p, m, f, reducible) for every monic f of small degree, reducible
+    by division by all monic polynomials of degree 1 .. m/2."""
     for p, top in ((2, 8), (3, 5), (5, 3), (17, 2)):
         for m in range(1, top + 1):
             divisors = [
@@ -716,8 +721,65 @@ def test_rabin_test_matches_trial_division():
             ]
             for cs in product(range(p), repeat=m):
                 f = tuple(cs) + (1,)
-                reducible = any(not pdivmod(f, g, p)[1] for g in divisors)
-                assert _is_irreducible(f, p) == (not reducible), (p, f)
+                yield p, m, f, any(not pdivmod(f, g, p)[1] for g in divisors)
+
+
+def test_rabin_test_matches_trial_division():
+    for p, m, f, reducible in _monic_by_trial_division():
+        assert _is_irreducible(f, p) == (not reducible), (p, f)
+
+
+def test_x_tables_exist_only_for_irreducible_moduli_with_primitive_x():
+    # the walk over the powers of x doubles as the irreducibility test of
+    # a table field, so it must give tables for no reducible modulus
+    for p, m, f, reducible in _monic_by_trial_division():
+        tables = _x_tables(p, m, f)
+        if reducible:
+            assert tables is None, (p, f)
+            continue
+        qm1 = p**m - 1
+        if m == 1:  # x is the constant -f_0
+            x = -f[0] % p
+            primitive = x != 0 and all(pow(x, qm1 // r, p) != 1 for r in _prime_factors(qm1))
+        else:
+            kern = _kernel(p, m, f)
+            primitive = all(kern.pow(kern.x, qm1 // r) != 1 for r in _prime_factors(qm1))
+        assert (tables is not None) == primitive, (p, f)
+
+
+def _kernel_walk_tables(p, m, mod):
+    """The Zech tables of GF(p)[x]/(mod) walked over the packed kernel."""
+    q = p**m
+    kern = _kernel(p, m, mod)
+    candidates = map(kern.from_base_p, chain(range(p, q), range(2, p)))
+    return _log_tables(p, q, candidates, kern.mul, kern.add, kern.pow, kern.to_base_p)
+
+
+def test_table_fields_match_the_kernel_walk():
+    # every table field with p <= 7 and q <= 2^12 under its default
+    # modulus, whether x is primitive or the build falls back: the exp,
+    # log and Zech lists and every sigma^j map equal those of the
+    # generator walk over the packed kernel, sigma^j by powers of sigma
+    fallbacks = []
+    for p, top in ((2, 12), (3, 7), (5, 5), (7, 4)):
+        for m in range(2, top + 1):
+            q = p**m
+            mod = default_modulus(p, m)
+            ref = _kernel_walk_tables(p, m, mod)
+            if _x_tables(p, m, mod) is None:
+                fallbacks.append((p, m))
+            for e in range(1, m):
+                ctx = FiniteFieldCtx(p, m, frob_power=e)
+                ops = ctx._mul.__self__
+                assert ops._exp == ref._exp, (p, m, e)
+                assert ops._log == ref._log, (p, m, e)
+                assert ops._log1p == ref._log1p, (p, m, e)
+                sig = [ref.pow(v, p**e) for v in range(q)]
+                tab = list(range(q))
+                for j in range(1, ctx.sigma_order):
+                    tab = [sig[v] for v in tab]
+                    assert list(map(ctx._sig_maps[j], range(q))) == tab, (p, m, e, j)
+    assert fallbacks == [(2, 9), (2, 12), (3, 7), (5, 4), (5, 5), (7, 3), (7, 4)]
 
 
 def test_used_context_is_freed_without_the_cycle_collector():

@@ -7,9 +7,8 @@ checked exhaustively against the tables.  Elements are matched through
 ``elements()``, which denotes the same element at the same position in
 both backends, and that matching is itself checked by printing them.
 
-The tables are built by walking powers with the packed kernel, so they
-are in turn checked against schoolbook polynomial arithmetic over digit
-tuples, which shares no code with either backend.
+The tables are in turn checked against schoolbook polynomial arithmetic
+over digit tuples, which shares no code with either backend.
 """
 
 import random
