@@ -424,8 +424,29 @@ def evaluate(ctx, text, relprec=_DEFAULT_PREC):
 # certificate JSON
 
 
-def series_to_obj(s):
-    return {"val": s.val, "prec": s.prec, "coeffs": [str(c) for c in s.coeffs]}
+def series_to_obj(s, write=str):
+    return {"val": s.val, "prec": s.prec, "coeffs": [write(c) for c in s.coeffs]}
+
+
+def _coefficient_writer(ctx):
+    """element -> text for the coefficients of one certificate.
+
+    On a finite field each distinct coefficient is formatted once, in a
+    memo keyed on its raw value that lives as long as the returned
+    function.  Q(t) coefficients are printed with str: a Q(t) element
+    hashes through Fraction, which costs more than it saves."""
+    if not isinstance(ctx, FiniteFieldCtx):
+        return str
+    memo = {}
+    fmt = ctx.format_elem
+
+    def write(a):
+        text = memo.get(a.value)
+        if text is None:
+            text = memo[a.value] = fmt(a)
+        return text
+
+    return write
 
 
 def _typed(obj, key, kind):
@@ -467,13 +488,14 @@ def obj_to_series(ctx, obj, read, slack=0):
 
 
 def certificate_to_json(cert):
+    write = _coefficient_writer(cert.ctx)
     obj = {
         "field": cert.ctx.field_spec(),
         "sigma": cert.ctx.sigma_spec(),
         "method": cert.method,
         "prec": cert.check_prec,
-        "input": series_to_obj(cert.input),
-        "pairs": [[series_to_obj(b), series_to_obj(w)] for b, w in cert.pairs],
+        "input": series_to_obj(cert.input, write),
+        "pairs": [[series_to_obj(b, write), series_to_obj(w, write)] for b, w in cert.pairs],
     }
     if cert.experimental:
         obj["experimental"] = True

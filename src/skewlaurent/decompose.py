@@ -21,7 +21,12 @@ depends on the order of sigma:
 * orders 2 and 3 are rejected (UnsupportedOrder) for a nonzero f; a
   zero f gets a ZeroInput certificate whatever the order.
 
-Both factorisations f = g*h share one triangular loop, _factor.
+Both factorisations f = g*h share one triangular loop, _factor.  It runs
+on the raw values of the context's seam, as the series kernels do (see
+FieldCtx), and keeps the images of each coefficient of h under the
+powers of sigma in a list from the moment it is set, so each image is
+mapped once.  bracket_preimage inverts b - sigma^j(b) once per residue
+of j mod n, and divides on raw values too.
 
 The resulting Certificate is self-contained and re-checkable: verify
 multiplies the commutators back out and compares coefficients below
@@ -43,6 +48,7 @@ from .errors import (
     WitnessFixed,
     ZeroInput,
 )
+from .field_tower import FFElem
 from .linalg import kernel_from_columns
 from .skew_series import SkewSeries, commutator, term, zero
 
@@ -120,22 +126,30 @@ def bracket_preimage(b, g):
     """w with [b*x^0, w] = g, coefficient by coefficient.
 
     Since coefficients commute, [b, c*x^j] = (b - sigma^j(b))*c*x^j, so
-    each coefficient of g is divided by b - sigma^j(b).  Requires
-    sigma^j(b) != b for every exponent j in the support of g; otherwise
-    WitnessFixed(j) is raised.
+    each coefficient of g is divided by b - sigma^j(b), on raw values.
+    That difference depends on j only mod n at finite order n, so it is
+    inverted once per residue (once per exponent at infinite order).
+    Requires sigma^j(b) != b for every exponent j in the support of g;
+    otherwise WitnessFixed(j) is raised for the first such j.
     """
     ctx = g.ctx
-    out = []
-    for idx, c in enumerate(g.coeffs):
+    n = ctx.sigma_order
+    mul = ctx._mul
+    invs = {}  # j mod n (j at infinite order) -> raw (b - sigma^j(b))^(-1)
+    out = ctx._unwrap(g.coeffs)
+    for idx, c in enumerate(out):
         if not c:
-            out.append(c)
             continue
         j = g.val + idx
-        d = b - ctx.sigma(b, j)
-        if not d:
-            raise WitnessFixed(j, f"sigma^{j} fixes the chosen witness")
-        out.append(d.inverse() * c)
-    return SkewSeries(ctx, g.val, out, g.prec)
+        key = j % n if n else j
+        d_inv = invs.get(key)
+        if d_inv is None:
+            d = b - ctx.sigma(b, j)
+            if not d:
+                raise WitnessFixed(j, f"sigma^{j} fixes the chosen witness")
+            d_inv = invs[key] = ctx._inv(ctx._unwrap((d,))[0])
+        out[idx] = mul(d_inv, c)
+    return SkewSeries(ctx, g.val, ctx._wrap(out), g.prec)
 
 
 def x_bracket_preimage(g):
@@ -198,23 +212,46 @@ def _factor(f, u, b0, c0, step):
     of x^(v+t) in h), f's coefficient at x^(val(f)+t) is the sum over r of
     b_r*sigma^r(c_(t-r)).  From b_0 = b0, c_0 = c0, step(t, acc) returns
     (b_t, c_t) with b0*c_t + b_t*sigma^t(c0) = acc, f's coefficient less
-    the terms with 0 < r < t.
+    the terms with 0 < r < t.  b0, c0, acc and what step returns are raw
+    values of the context's seam (see FieldCtx); sigma has finite order n.
+    The sum runs over the nonzero c_j alone, and each keeps its images
+    under sigma^0, ..., sigma^(k-1), k = min(n, width - j), from the moment
+    it is set, repeated up to the width so that sigma^r(c_j) is read at
+    position r: each image is mapped once, and only those the sums and h
+    can read.
     g has precision prec - v and h has precision prec - u.
     """
     ctx = f.ctx
+    n = ctx.sigma_order
+    add, neg, mul = ctx._add, ctx._neg, ctx._mul
+    maps = [ctx._sigma_map(i) for i in range(1, n)]
     s = f.val
     width = f.prec - s
-    bs = [b0] + [ctx.zero()] * (width - 1)
-    cs = [c0] + [ctx.zero()] * (width - 1)
+    fs = ctx._unwrap(f.coeffs)
+    zero = ctx._unwrap((ctx.zero(),))[0]
+
+    def images(c, k):
+        base = [c] + [sig(c) for sig in maps[: min(n, k) - 1]]
+        return (base * (k // n + 1))[:k]
+
+    bs = [b0] + [zero] * (width - 1)
+    live = []  # (j, images of c_j) for the nonzero c_j, j >= 1, ascending
     for t in range(1, width):
-        acc = f.coeffs[t]
-        for r in range(1, t):
-            if bs[r] and cs[t - r]:
-                acc = acc - bs[r] * ctx.sigma(cs[t - r], r)
-        bs[t], cs[t] = step(t, acc)
+        total = zero
+        for j, img in live:
+            b = bs[t - j]
+            if b:
+                total = add(total, mul(b, img[t - j]))
+        bs[t], c = step(t, add(fs[t], neg(total)))
+        if c:
+            live.append((t, images(c, width - t)))
     v = s - u
-    g = SkewSeries(ctx, u, bs, f.prec - v)
-    h = SkewSeries(ctx, v, [ctx.sigma(c, -u) if c else c for c in cs], f.prec - u)
+    ru = -u % n  # h's coefficient at x^(v+j) is sigma^(-u)(c_j)
+    hs = [zero] * width
+    for j, img in [(0, [c0])] + live:
+        hs[j] = img[ru] if ru < len(img) else maps[ru - 1](img[0])
+    g = SkewSeries(ctx, u, ctx._wrap(bs), f.prec - v)
+    h = SkewSeries(ctx, v, ctx._wrap(hs), f.prec - u)
     return g, h
 
 
@@ -231,14 +268,14 @@ def factor_avoiding_multiples(f, u, v):
     n = ctx.sigma_order
     if u + v != f.val:
         raise ValueError("split exponents must sum to the valuation")
-    b0 = f.coeffs[0]
-    b0_inv = b0.inverse()
-    zero = ctx.zero()
+    b0, one, zero = ctx._unwrap((f.coeffs[0], ctx.one(), ctx.zero()))
+    b0_inv = ctx._inv(b0)
+    mul = ctx._mul
 
     def step(t, acc):
-        return (acc, zero) if (u + t) % n else (zero, b0_inv * acc)
+        return (acc, zero) if (u + t) % n else (zero, mul(b0_inv, acc))
 
-    return _factor(f, u, b0, ctx.one(), step)
+    return _factor(f, u, b0, one, step)
 
 
 def _pairs_split(f, y, method):
@@ -336,12 +373,12 @@ def factor_with_l_coeffs(f):
                 ctx.k0_vec(l * sb0) for l in l_basis
             ]
             solve = solvers[tm] = ctx.k0_solver(cols)
-        sol = solve(ctx.k0_vec(acc))
+        sol = solve(ctx.k0_vec(FFElem(ctx, acc)))
         if sol is None:
             raise DecompositionError("L-pair independence failed mid-factorisation")
-        return o4.from_l_coords(sol[3:]), o4.from_l_coords(sol[:3])
+        return o4.from_l_coords(sol[3:]).value, o4.from_l_coords(sol[:3]).value
 
-    return _factor(f, f.val, a0, b0, step)
+    return _factor(f, f.val, a0.value, b0.value, step)
 
 
 def _pairs_order4_l(f):

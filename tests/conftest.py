@@ -27,6 +27,22 @@ def gf34():
 
 
 @pytest.fixture(scope="session")
+def gf24():
+    return FiniteFieldCtx(2, 4)
+
+
+@pytest.fixture(scope="session")
+def gf58():
+    """GF(5^8)/frob^2: order 4 over k0 = GF(25), on the packed backend."""
+    return FiniteFieldCtx(5, 8, frob_power=2, modulus=(3, 2, 1, 0, 0, 0, 0, 0, 1))
+
+
+@pytest.fixture(scope="session")
+def gf220():
+    return FiniteFieldCtx(2, 20)
+
+
+@pytest.fixture(scope="session")
 def gf9():
     return FiniteFieldCtx(3, 2)
 

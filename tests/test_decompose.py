@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -89,6 +90,39 @@ def test_bracket_preimage_random(gf25, gf35, gf34, qt_shift):
         assert commutator(b, w).eq_to_prec(g, g.prec)
 
 
+def test_bracket_preimage_inverts_once_per_residue(gf35, monkeypatch):
+    n = gf35.sigma_order
+    y = gf35.find_witness(n)
+    inverted = []
+    inv = gf35._inv
+    monkeypatch.setattr(gf35, "_inv", lambda a: inverted.append(a) or inv(a))
+    rng = random.Random("residues")
+    g = from_terms(gf35, [(e, nonzero_elem(gf35, rng)) for e in range(-9, 55) if e % n], 55)
+    w = bracket_preimage(y, g)
+    assert len(inverted) <= n
+    assert commutator(term(gf35, y, 0, 55 - w.val), w).eq_to_prec(g, 55)
+
+
+def test_bracket_preimage_names_the_first_fixed_exponent(gf35, gf28):
+    # the normal-basis witness of GF(3^5) is fixed exactly at multiples of 5;
+    # -5, 0 and 5 share that residue, and 3 shares one with -2
+    y = gf35.find_witness(5)
+    g = from_terms(gf35, [(e, gf35.one()) for e in (-2, -5, 0, 3, 5)], 9)
+    with pytest.raises(WitnessFixed, match=r"^sigma\^-5 fixes the chosen witness$") as exc:
+        bracket_preimage(y, g)
+    assert exc.value.exponent == -5
+    # an element of GF(2^4) inside GF(2^8) is fixed by sigma^4, not by sigma
+    b = next(c for c in gf28.elements() if gf28.sigma(c, 4) == c and gf28.sigma(c, 1) != c)
+    g = from_terms(gf28, [(e, gf28.gen()) for e in (1, 3, 4, 9, 11, 12)], 14)
+    with pytest.raises(WitnessFixed, match=r"^sigma\^4 fixes the chosen witness$") as exc:
+        bracket_preimage(b, g)
+    assert exc.value.exponent == 4
+    # a zero coefficient at a fixed exponent needs no division
+    g = from_terms(gf28, [(e, gf28.gen()) for e in (1, 3, 9, 11)], 14)
+    w = bracket_preimage(b, g)
+    assert commutator(term(gf28, b, 0, 14 - w.val), w).eq_to_prec(g, 14)
+
+
 def test_bracket_preimage_zero_coefficients_pass_through(gf34):
     y = gf34.find_witness(4)
     g = from_terms(gf34, [(1, gf34.one())], 9)
@@ -137,9 +171,9 @@ def test_factor_avoiding_multiples_example(gf25):
     assert (g * h).eq_to_prec(f, f.prec)
 
 
-def test_factor_avoiding_multiples_random(gf25, gf35, gf28, gf34):
+def test_factor_avoiding_multiples_random(gf25, gf35, gf28, gf34, gf24, gf58, gf220):
     rng = random.Random("factor-n")
-    for ctx in (gf25, gf35, gf28, gf34):
+    for ctx in (gf25, gf35, gf28, gf34, gf24, gf58, gf220):
         n = ctx.sigma_order
         for _ in range(40):
             f = random_series(ctx, rng, -8, 8, 20)
@@ -157,6 +191,38 @@ def test_factor_avoiding_multiples_random(gf25, gf35, gf28, gf34):
             for e in range(h.val, h.prec):
                 if e % n == 0:
                     assert not h._coeff(e)
+
+
+def test_factor_maps_each_image_once(gf35, monkeypatch):
+    # every application of sigma during the factorisation, through the seam
+    # or through ctx.sigma, is recorded with the raw value it maps
+    mapped = []
+    sigma_map, sigma = FiniteFieldCtx._sigma_map, FiniteFieldCtx.sigma
+
+    def counted_map(self, i):
+        sig = sigma_map(self, i)
+        return lambda a: mapped.append(a) or sig(a)
+
+    def counted_sigma(self, a, i=1):
+        if i % self.sigma_order:
+            mapped.append(a.value)
+        return sigma(self, a, i)
+
+    monkeypatch.setattr(FiniteFieldCtx, "_sigma_map", counted_map)
+    monkeypatch.setattr(FiniteFieldCtx, "sigma", counted_sigma)
+    n = gf35.sigma_order
+    rng = random.Random("images-once")
+    for _ in range(4):
+        f = random_series(gf35, rng, -8, 8, 64)
+        u, v = split_exponent(f.val, n)
+        mapped.clear()
+        g, h = factor_avoiding_multiples(f, u, v)
+        seen = Counter(mapped)
+        # c_j = sigma^u of h's coefficient at x^(v+j); no value is mapped
+        # more than n - 1 times for each c_j that holds it
+        cs = Counter(gf35.sigma(c, u).value for c in h.coeffs if c)
+        assert seen <= Counter({c: (n - 1) * k for c, k in cs.items()})
+        assert (g * h).eq_to_prec(f, f.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +254,26 @@ def test_factor_into_l_pair_postconditions(gf34):
     assert checked == 78  # 81 elements minus zero minus the 2 nonzero k1 elements
 
 
-def test_factor_with_l_coeffs(gf34):
+def test_factor_with_l_coeffs(gf34, gf24, gf58):
     rng = random.Random("factor-l")
-    o4 = gf34.build_order4_ctx()
-    done = 0
-    while done < 60:
-        f = random_series(gf34, rng, -8, 8, 18, dense=False)
-        if f.val % 4 != 2 or o4.in_k1(f.coeffs[0]):
-            continue
-        f1, f2 = factor_with_l_coeffs(f)
-        assert f1.prec == f.prec and f1.val == f.val
-        assert f2.prec == f.prec - f.val and f2.val == 0
-        prod = f1 * f2
-        assert prod.prec == f.prec
-        assert prod.eq_to_prec(f, f.prec)
-        for s in (f1, f2):
-            for c in s.coeffs:
-                if c:
-                    assert o4.in_l(c)
-        done += 1
+    for ctx in (gf34, gf24, gf58):
+        o4 = ctx.build_order4_ctx()
+        done = 0
+        while done < 60:
+            f = random_series(ctx, rng, -8, 8, 18, dense=False)
+            if f.val % 4 != 2 or o4.in_k1(f.coeffs[0]):
+                continue
+            f1, f2 = factor_with_l_coeffs(f)
+            assert f1.prec == f.prec and f1.val == f.val
+            assert f2.prec == f.prec - f.val and f2.val == 0
+            prod = f1 * f2
+            assert prod.prec == f.prec
+            assert prod.eq_to_prec(f, f.prec)
+            for s in (f1, f2):
+                for c in s.coeffs:
+                    if c:
+                        assert o4.in_l(c)
+            done += 1
 
 
 def test_factor_with_l_coeffs_rejects_k1_leading(gf34):
@@ -455,6 +522,13 @@ SMALL_GOLDEN = [
      "28c5b2abe8bac2828cb4770bed4e3cebad42a1a17ee75672a8d1ae11a5adb04a"),
     (("qt", "scale:2"), "(1/2*t)*x^3 + (t^2-1)*x^5 + O(x^10)", "InfiniteWitness",
      "a4cc1aa3bcefa7f6b695725b4b31a111f17cce26968b25f28c14705f69509ac9"),
+    # the order-5 and order-8 Zech-table fields of the table_gf benchmark
+    (("gf(3^5)", "frob"),
+     "(g^3+2*g)*x^-3 + (g)*x^-1 + (2*g^4+1)*x^2 + (g^100)*x^4 + x^7 + O(x^12)",
+     "DegreeAtLeast5", "d902539c350bef441ec0732f9a6bb72a685a8554ec2472457803ca1221467bd6"),
+    (("gf(2^8)", "frob"),
+     "(g^7+g)*x^-2 + (g^200)*x^1 + (g^3+1)*x^3 + x^6 + (g)*x^9 + O(x^14)",
+     "DegreeAtLeast5", "9623e37e7b222f2717b55eed915621ee97702a6d8f97597a15a21ed9a066cc55"),
 ]
 GOLDEN += SMALL_GOLDEN
 
