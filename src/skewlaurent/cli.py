@@ -153,6 +153,10 @@ class _Parser:
         # Q(t) powers grow the coefficients; GF powers cost O(log e).
         self.max_power = _MAX_QT_POWER if qt else None
         self.depth = 0
+        # A finite field reads a parenthesised coefficient in format_elem's
+        # form in one pass (_coefficient_group); Q(t) always descends.
+        self.read_tokens = None if qt else ctx.read_tokens
+        self.group_at = self.group = None
 
     def _error(self, message, at=None):
         """SeriesSyntaxError at token index at (the cursor by default)."""
@@ -255,6 +259,11 @@ class _Parser:
         elif tok == self.var:
             out = self.ctx.gen()
         elif tok == "(":
+            if self.read_tokens is not None and self.depth < _MAX_DEPTH:
+                group = self._coefficient_group()
+                if group is not None:
+                    out, self.i = group
+                    return out
             self.i += 1
             out = self._nested(self.elem_sum)
             self._take(")")
@@ -269,6 +278,23 @@ class _Parser:
             raise self._error(f"unexpected {tok!r}")
         self.i += 1
         return out
+
+    def _coefficient_group(self):
+        """(element, index past the ")") for the "(" group at the cursor
+        when it holds a coefficient as format_elem prints it, else None.
+
+        Any other group is left to the descent, which reads the same
+        element or raises the same error.  The result is kept for the
+        cursor, so an eval atom and the coefficient it turns out to be
+        read the group once."""
+        i = self.i
+        if self.group_at != i:
+            group = self.read_tokens(self.toks, i + 1)
+            if group is not None:
+                out, j = group
+                group = (out, j + 1) if self.toks[j] == ")" else None
+            self.group_at, self.group = i, group
+        return self.group
 
     # -- strict series --------------------------------------------------
 
@@ -341,28 +367,60 @@ class _Parser:
         return out
 
     def _eval_sum(self):
+        """The sum of the products; its lone c*x^e atoms become one series."""
         toks = self.toks
+        terms = []  # (exp, coef) of the lone atoms
+        left = None  # the sum of the other products
         negate = toks[self.i] == "-"
         self.i += negate
-        left = self._eval_product(negate)
         while True:
+            out = self._eval_product(negate)
+            if type(out) is tuple:
+                terms.append(out)
+            else:
+                left = out if left is None else left + out
             op = toks[self.i]
             if op != "+" and op != "-":
-                return left
+                break
             self.i += 1
-            left = left + self._eval_product(op == "-")
+            negate = op == "-"
+        if not terms:
+            return left
+        # each atom is c*x^e + O(x^(e+relprec)), so the sum ends at the
+        # lowest O; no coefficient past it is added (on Q(t), a sum can
+        # cross the size budget)
+        prec = min(e for e, _ in terms) + self.relprec
+        if left is not None:
+            prec = min(prec, left.prec)
+        atoms = from_terms(self.ctx, [(e, c) for e, c in terms if e < prec], prec)
+        return atoms if left is None else left + atoms
 
     def _eval_product(self, negate):
+        """A product's series, or a lone c*x^e atom's (exp, coef) pair."""
         left = self._eval_atom()
+        if type(left) is tuple:
+            if self.toks[self.i] != "*" and self.relprec > 0:
+                exp, coef = left
+                return exp, -coef if negate else coef
+            left = self._atom_series(left)
         if negate:
             left = -left
         while self.toks[self.i] == "*":
             self.i += 1
-            left = left * self._eval_atom()
+            right = self._eval_atom()
+            if type(right) is tuple:
+                right = self._atom_series(right)
+            left = left * right
             _check_window(left.val, left.val)  # a product adds the valuations
         return left
 
+    def _atom_series(self, atom):
+        """The series exp..exp+relprec of an (exp, coef) atom."""
+        exp = atom[0]
+        return self._from_terms([atom], exp, exp + self.relprec)
+
     def _eval_atom(self):
+        """A series, or the (exp, coef) pair of a c*x^e atom."""
         tok = self.toks[self.i]
         if tok == "inv" or tok == "comm":
             self.i += 1
@@ -387,11 +445,14 @@ class _Parser:
         if not tok:
             raise self._error("expected an expression")
         exp, coef = self._series_term()
-        # an atom's window is relprec wide
-        return self._from_terms([(exp, coef)], exp, exp + self.relprec)
+        _check_window(exp, exp + self.relprec)  # an atom's window is relprec wide
+        return exp, coef
 
     def _paren_holds_series(self):
-        """Look inside a parenthesised group for series-level names."""
+        """Look inside a parenthesised group for series-level names; a
+        group in format_elem's form is a coefficient, and is not scanned."""
+        if self.read_tokens is not None and self._coefficient_group() is not None:
+            return False
         depth = 0
         for tok in self.toks[self.i :]:
             if tok in _SERIES_NAMES:

@@ -76,13 +76,11 @@ _P_LIMIT = 1 << 32
 _Q_LIMIT = 1 << 64
 _SEARCH_LIMIT = 1024
 _WITNESS_SEED = "normal-basis-search"
-# One term of the text FiniteFieldCtx.format_elem prints: c*g^i, c*g, g^i
-# or g with 1 < c and 1 < i, or a constant c >= 1, all without leading
-# zeros.  Numerals stay short: p < 2^32 and m <= 64.
-_TERM_RE = re.compile(
-    r"(?:([2-9]|[1-9][0-9]{1,9})\*)?g(?:\^([2-9]|[1-9][0-9]))?"  # coefficient, exponent
-    r"|([1-9][0-9]{0,9})"  # constant
-)
+# read_formatted's tokens: runs of ASCII digits, and every other character
+# alone, so that the tokens of a text join back to it.
+_FORMAT_TOKEN_RE = re.compile(r"[0-9]+|.", re.DOTALL)
+# The exponent numerals of format_elem's text (m <= 64), without leading zeros.
+_POWERS = {str(i): i for i in range(2, 100)}
 
 
 def _is_prime(n):
@@ -664,20 +662,59 @@ class FiniteFieldCtx(FieldCtx):
         it does not print (such as "1*g", "g^1", "(g)" or " g")."""
         if text == "0":
             return FFElem(self, 0)
+        toks = _FORMAT_TOKEN_RE.findall(text)
+        toks.append("")
+        got = self.read_tokens(toks, 0)
+        return got[0] if got is not None and not toks[got[1]] else None
+
+    def read_tokens(self, toks, i):
+        """Read a nonzero element as format_elem prints it from toks[i:].
+
+        The terms are c*g^e, c*g, g^e or g with 1 < c < p and 1 < e, or a
+        constant 0 < c < p, joined by "+", their exponents falling
+        strictly from below m; numerals have no leading zeros, and c has
+        at most 10 digits (p < 2^32).  A token that starts with an ASCII
+        digit must be all digits, and the list must end in a token that is
+        none of "g", "*", "^", "+" or a numeral.
+
+        Returns (element, j), where toks[j] is the first token past the
+        terms, or None where the tokens hold no such text.  The one copy
+        of these rules: the certificate reader (read_formatted) and the
+        parser's parenthesised coefficients both read through it.
+        """
+        p = self.p
         ds = [0] * self.m
         top = self.m  # exponents fall strictly, from below m
-        for part in text.split("+"):
-            term = _TERM_RE.fullmatch(part)
-            if term is None:
+        while True:
+            tok = toks[i]
+            if tok == "g":
+                c = 1
+            elif "1" <= tok[:1] <= "9" and len(tok) <= 10:
+                c = int(tok)
+                if c >= p:
+                    return None
+                i += 1
+                if toks[i] != "*":  # a constant, the last term
+                    ds[0] = c
+                    return FFElem(self, self._pack(ds)), i
+                if c == 1 or toks[i + 1] != "g":
+                    return None
+                i += 1
+            else:
                 return None
-            coef, power, const = term.groups()
-            i = 0 if const else int(power) if power else 1
-            c = int(const or coef or 1)
-            if i >= top or c >= self.p:
+            i += 1  # past the g
+            if toks[i] == "^":
+                e = _POWERS.get(toks[i + 1], top)
+                i += 2
+            else:
+                e = 1
+            if e >= top:
                 return None
-            ds[i] = c
-            top = i
-        return FFElem(self, self._pack(ds))
+            ds[e] = c
+            top = e
+            if toks[i] != "+":
+                return FFElem(self, self._pack(ds)), i
+            i += 1
 
     def field_spec(self):
         poly = ",".join(str(c) for c in self.modulus)

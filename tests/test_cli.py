@@ -22,7 +22,7 @@ from skewlaurent.cli import (
 from skewlaurent.decompose import decompose, verify_certificate
 from skewlaurent.errors import FieldSpecError, SeriesSyntaxError
 from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx, _x_tables
-from skewlaurent.skew_series import SkewSeries, term
+from skewlaurent.skew_series import SkewSeries, commutator, term, zero
 
 from conftest import random_series
 
@@ -242,6 +242,83 @@ def test_evaluate_matches_library(gf34):
         assert got == expect
 
 
+def _eval_operand(ctx, rng, relprec, depth):
+    """(text, series) of one random product or atom of an eval sum, the
+    series built from term and the series operations."""
+
+    def atom():
+        e = rng.randint(-3, 12)  # exponents repeat, and pass the first window
+        c = ctx.zero() if rng.random() < 0.2 else ctx.random_elem(rng)
+        return f"({c})*x^{e}", term(ctx, c, e, e + relprec)
+
+    kind = rng.choice(("atom", "atom", "atom", "O", "group", "inv", "comm", "product"))
+    if kind == "atom" or depth == 0:
+        return atom()
+    if kind == "O":
+        k = rng.randint(0, 14)
+        return f"O(x^{k})", zero(ctx, k)
+    if kind == "inv":
+        e, c = rng.randint(-2, 2), ctx.random_elem(rng)
+        lead = term(ctx, ctx.one(), e, e + relprec)
+        second = term(ctx, c, e + 1, e + 1 + relprec)
+        return f"inv(x^{e} + ({c})*x^{e + 1})", (lead + second).inverse()
+    a_text, a = _eval_sum_case(ctx, rng, relprec, depth - 1)
+    b_text, b = _eval_sum_case(ctx, rng, relprec, depth - 1)
+    if kind == "group":
+        return f"({a_text})", a
+    if kind == "comm":
+        return f"comm({a_text}, {b_text})", commutator(a, b)
+    c_text, c = atom()
+    return f"({a_text}) * {c_text} * ({b_text})", a * c * b
+
+
+def _eval_sum_case(ctx, rng, relprec, depth):
+    """(text, series) of a random eval sum, added operand by operand."""
+    text, total = "", None
+    for k in range(rng.randint(1, 6)):
+        op_text, s = _eval_operand(ctx, rng, relprec, depth)
+        negate = rng.random() < 0.3  # a leading '-' on the first
+        text += ("-" if negate else "") if k == 0 else (" - " if negate else " + ")
+        text += op_text
+        s = -s if negate else s
+        total = s if total is None else total + s
+    return text, total
+
+
+def test_evaluate_folds_lone_atoms_like_the_atom_by_atom_sum(gf34, gf220, qt_shift):
+    rng = random.Random("eval-fold")
+    for ctx in (gf34, gf220, qt_shift):
+        for relprec in (1, 6, 32):
+            for _ in range(40):
+                text, want = _eval_sum_case(ctx, rng, relprec, 2)
+                got = evaluate(ctx, text, relprec)
+                assert got.prec == want.prec and got.eq_to_prec(want, got.prec), (ctx, text)
+                assert str(got) == str(want), (ctx, text)
+
+
+def test_evaluate_adds_no_atom_past_the_sum_precision(qt_shift):
+    # the two coefficients at x^5 sum past the Q(t) size budget, but the
+    # sum ends at O(x^3) before either is added
+    text = "O(x^3) + 1/(t+1)^300*x^5 + 1/(t+2)^300*x^5"
+    assert evaluate(qt_shift, text) == zero(qt_shift, 3)
+
+
+def test_evaluate_keeps_the_error_of_a_window_past_its_exponent(gf34, qt_shift):
+    # a non-positive --prec fails at the first atom, as before atoms were folded
+    for ctx, text, relprec, message in (
+        (qt_shift, "x", -5, "exponent 1 is not below precision -4"),
+        (gf34, "x^2 + )", -5, "exponent 2 is not below precision -3"),
+        (gf34, "(g)*x^2 * x", 0, "exponent 2 is not below precision 2"),
+        (gf34, "O(x^3) - (g)*x^-1", 0, "exponent -1 is not below precision -1"),
+        (gf34, "x^5000 + )", 1, "exponent x^5000 is outside x^-4096 .. x^4096"),
+    ):
+        with pytest.raises(SeriesSyntaxError) as exc:
+            evaluate(ctx, text, relprec)
+        assert str(exc.value) == message, text
+    code, out, err = run_cli(["eval", "--field", "qt", "--sigma", "shift", "--prec", "-5", "x"])
+    assert (code, out, err) == (2, "", "error: exponent 1 is not below precision -4\n")
+
+
 # ---------------------------------------------------------------------------
 # certificate JSON
 
@@ -369,7 +446,12 @@ def test_read_formatted_inverts_format_elem(gf34, gf28):
         for a in elems:
             text = ctx.format_elem(a)
             back = ctx.read_formatted(text)
+            # the reference: the unparenthesised text, read by the full grammar
             assert back == a and back == parse_element(ctx, text), (ctx, text)
+            # in parentheses, the parser reads the group in one pass
+            assert parse_element(ctx, f"({text})") == a, (ctx, text)
+            assert parse_series(ctx, f"({text})*x + O(x^3)").coeff_at(1) == a, (ctx, text)
+            assert evaluate(ctx, f"({text})*x").coeff_at(1) == a, (ctx, text)
 
 
 _NON_CANONICAL = (
@@ -408,6 +490,88 @@ def test_read_formatted_leaves_other_texts_to_the_parser(gf34, gf28):
             else:
                 back = certificate_from_json(json.dumps(obj))
                 assert back.pairs[0][0].coeff_at(b["val"]) == expect, (ctx, text)
+
+
+# The parser's errors for texts of _GROUP_TEXTS in parentheses, "(text)*x",
+# recorded before the one-pass read of parenthesised coefficients; every
+# other such group reads as its text does without the parentheses.
+_GROUP_ERRORS = {
+    "": ("unexpected ')'", 1),
+    "g+": ("unexpected ')'", 3),
+    "9" * 5000: ("integer of 5000 digits is too long", 1),
+}
+_GROUP_TEXTS = _NON_CANONICAL + ("g^-1", "2*g^2-g")
+# Whole GF(3^4) inputs, each the same as series and as eval expression,
+# with the result or the error (message, position) recorded as above.
+_DEEP = "(" * 3000 + "1" + ")" * 3000 + "*x"
+_GROUP_INPUTS = (
+    ("((g))*x", "(g)*x^1 + O(x^33)"),
+    ("(g^3+2*g+2)^2*x", "(2*g^2)*x^1 + O(x^33)"),
+    ("(g^3+2*g+2)^-1*x", "(g^3+g)*x^1 + O(x^33)"),
+    ("(g+)*x", ("unexpected ')'", 3)),
+    (_DEEP, ("nested deeper than 100 levels", 101)),
+    # a group in the one-pass form keeps the depth budget
+    ("(" * 99 + "(g)" + ")" * 99 + "*x", "(g)*x^1 + O(x^33)"),
+    ("(" * 100 + "(g)" + ")" * 100 + "*x", ("nested deeper than 100 levels", 101)),
+)
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except SeriesSyntaxError as exc:
+        return str(exc).split(" (at position")[0], exc.pos
+
+
+def test_parenthesised_coefficients_off_the_one_pass_form_keep_the_grammar(gf34, gf28):
+    for ctx in (gf34, gf28) + _reader_fields():
+        for text in _GROUP_TEXTS + (f"{ctx.p}*g", f"g^{ctx.m}"):
+            as_coef = _outcome(lambda: parse_series(ctx, f"({text})*x + O(x^3)"))
+            as_atom = _outcome(lambda: evaluate(ctx, f"({text})*x"))
+            if text in _GROUP_ERRORS:
+                assert as_coef == as_atom == _GROUP_ERRORS[text], (ctx, text)
+                continue
+            a = parse_element(ctx, text)
+            assert as_coef == term(ctx, a, 1, 3), (ctx, text)
+            assert as_atom == term(ctx, a, 1, 33), (ctx, text)
+    for text, want in _GROUP_INPUTS:
+        for parse in (parse_series, evaluate):
+            got = _outcome(lambda: parse(gf34, text))
+            assert (got if isinstance(want, tuple) else str(got)) == want, (parse, text)
+
+
+def test_generator_shaped_text_never_descends_into_coefficients(
+    monkeypatch, gf34, gf220, qt_shift
+):
+    calls = {"elem_sum": 0, "group": 0}
+    elem_sum, group = cli_module._Parser.elem_sum, cli_module._Parser._coefficient_group
+
+    def counting(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(cli_module._Parser, "elem_sum", counting("elem_sum", elem_sum))
+    monkeypatch.setattr(cli_module._Parser, "_coefficient_group", counting("group", group))
+    rng = random.Random("one-pass")
+    text = "(g^3+2*g+2)*x^5 + (g)*x^6 + x^7 + (2*g^3+1)*x^9 + O(x^12)"
+    assert str(parse_series(gf34, text)) == text
+    assert str(evaluate(gf34, f"{text} + x^5")) == text.replace("(g^3+2*g+2)", "(g^3+2*g)")
+    for ctx in (gf34, gf220):
+        for _ in range(20):
+            f = random_series(ctx, rng, -4, 4, 12)
+            g = random_series(ctx, rng, -4, 4, 12)
+            assert parse_series(ctx, str(f)) == f
+            assert evaluate(ctx, f"({f}) * ({g})") == f * g
+    assert calls["elem_sum"] == 0 and calls["group"] > 0
+    # Q(t) never tries the one-pass read
+    calls["group"] = 0
+    f = random_series(qt_shift, rng, -4, 4, 12)
+    assert parse_series(qt_shift, str(f)) == f
+    assert evaluate(qt_shift, f"({f}) + ({f})") == f + f
+    assert calls["group"] == 0
 
 
 def test_certificate_reader_builds_a_parser_only_off_the_direct_path(
