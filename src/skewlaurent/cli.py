@@ -119,6 +119,16 @@ _BAD_CHAR_RE = re.compile(r"[^\t-\r\x1c-\x20\w+\-*/^(),]", re.ASCII)
 _SERIES_NAMES = frozenset(("x", "O", "inv", "comm"))
 
 
+def _tokens(text):
+    """The tokens of text and a "" sentinel, once no character is bad."""
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise SeriesSyntaxError(f"unexpected character {bad.group()!r}", pos=bad.start())
+    toks = _TOKEN_RE.findall(text)
+    toks.append("")
+    return toks
+
+
 def _check_window(val, prec, error=SeriesSyntaxError, slack=0):
     """The budgets on a series from x^val to O(x^prec), each exceeded by at
     most slack: its width, and |val|."""
@@ -138,11 +148,7 @@ class _Parser:
     error message."""
 
     def __init__(self, ctx, text, relprec, eval_mode=False):
-        bad = _BAD_CHAR_RE.search(text)
-        if bad:
-            raise SeriesSyntaxError(f"unexpected character {bad.group()!r}", pos=bad.start())
-        self.toks = _TOKEN_RE.findall(text)
-        self.toks.append("")
+        self.toks = _tokens(text)
         self.i = 0
         self.text = text
         self.ctx = ctx
@@ -471,6 +477,14 @@ def parse_series(ctx, text, relprec=_DEFAULT_PREC):
 
 
 def parse_element(ctx, text):
+    """The element that text writes.  A finite-field text exactly as
+    format_elem prints it is read in one pass over its tokens; any other
+    text takes the full grammar."""
+    if isinstance(ctx, FiniteFieldCtx):
+        toks = _tokens(text)  # the parser's error for a bad character or a non-str
+        got = ctx.read_tokens(toks, 0)
+        if got is not None and not toks[got[1]]:
+            return got[0]
     parser = _Parser(ctx, text, 0)
     out = parser.elem_sum()
     parser._end()
@@ -521,10 +535,9 @@ def _typed(obj, key, kind):
 def _coefficient_reader(ctx):
     """text -> element for the coefficients of one certificate.
 
-    Each distinct text is read once, kept in a memo that lives as long as
-    the returned function: directly when it is exactly what format_elem
-    prints, by parse_element otherwise, so every other text keeps the
-    parser's result, error and budget."""
+    parse_element reads each distinct text once, into a memo that lives as
+    long as the returned function, so every text keeps the parser's
+    result, error and budget."""
     memo = {}
 
     def read(text):
@@ -532,10 +545,7 @@ def _coefficient_reader(ctx):
             return parse_element(ctx, text)  # the parser's TypeError
         out = memo.get(text)
         if out is None:
-            out = ctx.read_formatted(text)
-            if out is None:
-                out = parse_element(ctx, text)
-            memo[text] = out
+            out = memo[text] = parse_element(ctx, text)
         return out
 
     return read

@@ -49,7 +49,7 @@ from .errors import (
     ZeroInput,
 )
 from .field_tower import FFElem
-from .linalg import kernel_from_columns
+from .linalg import kernel_from_columns, particular_solver
 from .skew_series import SkewSeries, commutator, term, zero
 
 _CONJ_SEED = "conjugator-search"
@@ -372,7 +372,7 @@ def factor_with_l_coeffs(f):
             cols = [ctx.k0_vec(a0 * l) for l in l_basis] + [
                 ctx.k0_vec(l * sb0) for l in l_basis
             ]
-            solve = solvers[tm] = ctx.k0_solver(cols)
+            solve = solvers[tm] = particular_solver(cols, ctx.k0_scalars())
         sol = solve(ctx.k0_vec(FFElem(ctx, acc)))
         if sol is None:
             raise DecompositionError("L-pair independence failed mid-factorisation")

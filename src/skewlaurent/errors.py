@@ -29,10 +29,6 @@ class NoWitness(SkewLaurentError):
     """No element of the requested sigma-degree exists (or the search failed)."""
 
 
-class NotInSpan(SkewLaurentError):
-    """Element is not in the k0-span of the given basis."""
-
-
 class NotInL(SkewLaurentError):
     """Element is not in the image of sigma - 1."""
 

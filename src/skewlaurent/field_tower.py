@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
 import weakref
 from fractions import Fraction
 from math import fsum, gcd
@@ -57,7 +56,6 @@ from .errors import (
     ZeroNotInvertible,
 )
 from .linalg import (
-    K0Maps,
     ModPScalars,
     ZechScalars,
     invert_matrix,
@@ -65,7 +63,7 @@ from .linalg import (
     particular_solver,
     rank_of_vectors,
 )
-from .packed import PackedGF2, PackedOddField
+from .packed import PackedGF2, PackedOddField, slot_codec
 
 _TABLE_LIMIT = 1 << 16
 # Field budgets: _is_prime is trial division, so p stays below _P_LIMIT;
@@ -76,9 +74,6 @@ _P_LIMIT = 1 << 32
 _Q_LIMIT = 1 << 64
 _SEARCH_LIMIT = 1024
 _WITNESS_SEED = "normal-basis-search"
-# read_formatted's tokens: runs of ASCII digits, and every other character
-# alone, so that the tokens of a text join back to it.
-_FORMAT_TOKEN_RE = re.compile(r"[0-9]+|.", re.DOTALL)
 # The exponent numerals of format_elem's text (m <= 64), without leading zeros.
 _POWERS = {str(i): i for i in range(2, 100)}
 
@@ -469,9 +464,10 @@ class FiniteFieldCtx(FieldCtx):
     ints: residues mod p when d = 1, ``ZechScalars`` otherwise, where the
     int with base-p digits c_0, ..., c_(d-1) stands for sum_j c_j*beta_j
     over the GF(p)-basis beta of k0 that also orders k0_scalar_elements().
-    k0_vec is one precomputed GF(p) matrix applied to the coefficients
-    (``K0Maps``).  The trace to k0, ``k0_trace``, sums the bound sigma
-    maps, and the order-4 subspace tests go through it or sigma.
+    k0_vec is one precomputed GF(p) matrix applied to the coefficients,
+    a big-int combination of its packed columns (``slot_codec``).  The
+    trace to k0, ``k0_trace``, sums the bound sigma maps, and the order-4
+    subspace tests go through it or sigma.
     """
 
     def __init__(self, p, m, frob_power=1, modulus=None):
@@ -657,31 +653,24 @@ class FiniteFieldCtx(FieldCtx):
                 parts.append(f"g^{i}" if c == 1 else f"{c}*g^{i}")
         return "+".join(parts) if parts else "0"
 
-    def read_formatted(self, text):
-        """The element that format_elem prints as text, or None for any text
-        it does not print (such as "1*g", "g^1", "(g)" or " g")."""
-        if text == "0":
-            return FFElem(self, 0)
-        toks = _FORMAT_TOKEN_RE.findall(text)
-        toks.append("")
-        got = self.read_tokens(toks, 0)
-        return got[0] if got is not None and not toks[got[1]] else None
-
     def read_tokens(self, toks, i):
-        """Read a nonzero element as format_elem prints it from toks[i:].
+        """Read an element as format_elem prints it from toks[i:].
 
-        The terms are c*g^e, c*g, g^e or g with 1 < c < p and 1 < e, or a
-        constant 0 < c < p, joined by "+", their exponents falling
-        strictly from below m; numerals have no leading zeros, and c has
-        at most 10 digits (p < 2^32).  A token that starts with an ASCII
-        digit must be all digits, and the list must end in a token that is
-        none of "g", "*", "^", "+" or a numeral.
+        Zero is "0".  Otherwise the terms are c*g^e, c*g, g^e or g with
+        1 < c < p and 1 < e, or a constant 0 < c < p, joined by "+", their
+        exponents falling strictly from below m; numerals have no leading
+        zeros, and c has at most 10 digits (p < 2^32).  A token that starts
+        with an ASCII digit must be all digits, and the list must end in a
+        token that is none of "g", "*", "^", "+" or a numeral.
 
         Returns (element, j), where toks[j] is the first token past the
-        terms, or None where the tokens hold no such text.  The one copy
-        of these rules: the certificate reader (read_formatted) and the
-        parser's parenthesised coefficients both read through it.
+        terms, or None where the tokens hold no such text; the caller
+        checks what toks[j] may be.  The one copy of these rules: the
+        parser reads a whole coefficient text and a parenthesised
+        coefficient through it.
         """
+        if toks[i] == "0":
+            return FFElem(self, 0), i + 1
         p = self.p
         ds = [0] * self.m
         top = self.m  # exponents fall strictly, from below m
@@ -765,30 +754,40 @@ class FiniteFieldCtx(FieldCtx):
         return list(range(len(self._k0_values())))
 
     def _k0_setup(self):
-        """The K0Maps behind k0_vec and k0_scalars, built once.
+        """(scalars, vec) behind k0_scalars and k0_vec, built once.
 
-        For d > 1, k0_vec inverts the GF(p)-linear map that takes the
+        For d > 1, vec takes the digits of an element to its m/d
+        k0-coordinates: it inverts the GF(p)-linear map that takes the
         digits c_(i*d+j) to sum c_(i*d+j)*beta_j*sigma^i(y), y the
-        normal-basis element, and the scalar tables come from a generator
-        of the multiplicative group of k0.
+        normal-basis element, as one big-int combination of the packed
+        columns of the inverse (see slot_codec), scalar i having base-p
+        digits i*d, ..., i*d + d - 1 of the combination.  The scalar
+        tables come from a generator of the multiplicative group of k0.
+        vec is None for d = 1, where the coordinates are the digits.
         """
         if self._k0 is not None:
             return self._k0
-        p, d = self.p, self.subfield_degree
-        k0 = K0Maps(p, self.m, d)
+        p, m, d = self.p, self.m, self.subfield_degree
         if d == 1:
-            k0.scalars = ModPScalars(p)
-        else:
-            elems = self._k0_values()
-            pos = {v: c for c, v in enumerate(elems)}
-            k0.scalars = _log_tables(
-                p, len(elems), elems[1:], self._mul, self._add, self._pow, pos.__getitem__
-            )
-            cols = self._conjugate_digits(self._normal_basis_elem())
-            inv = invert_matrix(list(zip(*cols)), ModPScalars(p))
-            k0.vec_cols = k0.pack_columns(list(zip(*inv)))
-        self._k0 = k0
-        return k0
+            self._k0 = (ModPScalars(p), None)
+            return self._k0
+        elems = self._k0_values()
+        pos = {v: c for c, v in enumerate(elems)}
+        scalars = _log_tables(
+            p, len(elems), elems[1:], self._mul, self._add, self._pow, pos.__getitem__
+        )
+        cols = self._conjugate_digits(self._normal_basis_elem())
+        inv = invert_matrix(list(zip(*cols)), ModPScalars(p))
+        _, split, join = slot_codec(p, m)
+        packed = [join(col) for col in zip(*inv)]
+        pw = [p**j for j in range(d)]
+
+        def vec(digits):  # no reference to the context: it holds vec
+            ds = split(sum(map(mul, digits, packed)), m)
+            return tuple([sum(map(mul, ds[i : i + d], pw)) for i in range(0, m, d)])
+
+        self._k0 = (scalars, vec)
+        return self._k0
 
     def _conjugate_digits(self, y):
         """The digits of beta_j*sigma^i(y), for i < n and, within each i, j < d."""
@@ -818,11 +817,10 @@ class FiniteFieldCtx(FieldCtx):
     def k0_vec(self, a):
         if self.subfield_degree == 1:
             return self._digits(a.value)
-        k0 = self._k0_setup()
-        return k0.apply(k0.vec_cols, self._digits(a.value))
+        return self._k0_setup()[1](self._digits(a.value))
 
     def k0_scalars(self):
-        return self._k0_setup().scalars
+        return self._k0_setup()[0]
 
     def k0_vec_basis(self):
         if self.subfield_degree == 1:
@@ -847,18 +845,13 @@ class FiniteFieldCtx(FieldCtx):
             v = add(v, tab[c])
         return FFElem(self, v)
 
-    def k0_solver(self, columns):
-        """The particular solution over k0 (free variables zero) of the
-        system with these columns, or None, as a function of rhs."""
-        return particular_solver(columns, self.k0_scalars())
-
     def sigma_minus_one_preimage(self, c):
         """Some z with sigma(z) - z = c, free coordinates pinned to zero."""
         cached = getattr(self, "_sig_minus_one", None)
         if cached is None:
             basis = self.k0_vec_basis()
             cols = [self.k0_vec(self.sigma(b, 1) - b) for b in basis]
-            cached = (self.k0_solver(cols), self._k0_tables(basis))
+            cached = (particular_solver(cols, self.k0_scalars()), self._k0_tables(basis))
             self._sig_minus_one = cached
         solve, tables = cached
         sol = solve(self.k0_vec(c))
@@ -1352,10 +1345,6 @@ class RationalFunctionCtx(FieldCtx):
 
     def format_elem(self, a):
         return str(a)
-
-    def read_formatted(self, text):
-        """None: Q(t) coefficient text is always read by the parser."""
-        return None
 
 
 # ---------------------------------------------------------------------------

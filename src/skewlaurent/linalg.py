@@ -1,20 +1,17 @@
 """Exact linear algebra over small finite fields.
 
 Gaussian elimination is generic over a scalar adapter (zero, one, add,
-sub, mul, neg, inv, is_zero): ``ModPScalars`` for GF(p) as residues and
-``ZechScalars`` for GF(p^d) as ints on exp/log/Zech tables.  ``K0Maps``
-holds the GF(p)-linear map behind k0_vec, from GF(p^m) to tuples of such
-scalars, as packed columns.  The field contexts use these for the k0-linear algebra, and
+sub, mul, neg, inv): ``ModPScalars`` for GF(p) as residues and
+``ZechScalars`` for GF(p^d) as ints on exp/log/Zech tables.  Both stand
+for zero by the int 0 alone, so elimination tests a scalar for zero by its
+truth value.  The field contexts use these for the k0-linear algebra, and
 ``ZechScalars`` (with its ``pow``) is also the arithmetic of every finite
 field small enough for tables.
 """
 
 from __future__ import annotations
 
-from operator import mul
-
 from .errors import ZeroNotInvertible
-from .packed import slot_codec
 
 
 class ModPScalars:
@@ -41,9 +38,6 @@ class ModPScalars:
 
     def inv(self, a):
         return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a == 0
 
 
 class ZechScalars:
@@ -123,9 +117,6 @@ class ZechScalars:
         out[0] = 0
         return out
 
-    def is_zero(self, a):
-        return a == 0
-
 
 def rref(rows, scalars):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
@@ -137,7 +128,7 @@ def rref(rows, scalars):
     for c in range(len(rows[0])):
         pr = None
         for i in range(r, len(rows)):
-            if not scalars.is_zero(rows[i][c]):
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -146,7 +137,7 @@ def rref(rows, scalars):
         inv = scalars.inv(rows[r][c])
         rows[r] = [scalars.mul(inv, v) for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and not scalars.is_zero(rows[i][c]):
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [scalars.sub(v, scalars.mul(f, w)) for v, w in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -177,7 +168,7 @@ def particular_solver(columns, scalars):
 
     def solve(rhs):
         out = [dot(row, rhs, scalars) for row in ops]
-        if not all(scalars.is_zero(v) for v in out[rank:]):
+        if any(out[rank:]):
             return None
         x = [scalars.zero] * k
         for c, v in zip(pivots, out):
@@ -230,34 +221,3 @@ def dot(row, vec, scalars):
     for a, b in zip(row, vec):
         acc = scalars.add(acc, scalars.mul(a, b))
     return acc
-
-
-class K0Maps:
-    """The k0 scalars of k = GF(p^m) and its GF(p)-linear map to k0-coordinates.
-
-    A map is a list of m packed columns, the images of the basis
-    1, x, ..., x^(m-1); applying it to the digits of an element is one
-    big-int combination (see slot_codec).  An output holds m/d scalars of
-    k0 = GF(p^d), scalar i having base-p digits i*d, ..., i*d + d - 1 of
-    the combination.  ``scalars`` and ``vec_cols`` (the columns of k0_vec
-    when d > 1, its only map) are set by the owning context.
-    """
-
-    def __init__(self, p, m, d):
-        self.m, self.d = m, d
-        _, self._split, self._join = slot_codec(p, m)
-        self._pw = [p**j for j in range(d)]
-        self.scalars = None
-        self.vec_cols = None
-
-    def pack_columns(self, columns):
-        """Packed form of m columns, each m digits in [0, p)."""
-        return [self._join(col) for col in columns]
-
-    def apply(self, cols, digits):
-        ds = self._split(sum(map(mul, digits, cols)), self.m)
-        d = self.d
-        if d == 1:
-            return tuple(ds)
-        pw = self._pw
-        return tuple([sum(map(mul, ds[i : i + d], pw)) for i in range(0, self.m, d)])

@@ -1,6 +1,6 @@
 import pytest
 
-from skewlaurent.errors import NotInL, NotInSpan
+from skewlaurent.errors import NotInL, SkewLaurentError
 from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx
 from skewlaurent.linalg import particular_solver, rank_of_vectors
 from skewlaurent.skew_series import SkewSeries
@@ -87,6 +87,10 @@ def k0_rank(ctx, elems):
 def k0_independent(ctx, elems):
     """Whether elems are linearly independent over k0."""
     return k0_rank(ctx, elems) == len(elems)
+
+
+class NotInSpan(SkewLaurentError):
+    """Element is not in the k0-span of the given basis."""
 
 
 def coords(ctx, a, basis):

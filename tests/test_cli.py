@@ -438,69 +438,87 @@ def _reader_fields():
     )
 
 
-def test_read_formatted_inverts_format_elem(gf34, gf28):
+def test_parse_element_inverts_format_elem(gf34, gf28):
     rng = random.Random("read-formatted")
     cases = [(ctx, list(ctx.elements())) for ctx in (gf34, gf28)]
     cases += [(ctx, [ctx.random_elem(rng) for _ in range(500)]) for ctx in _reader_fields()]
     for ctx, elems in cases:
-        for a in elems:
-            text = ctx.format_elem(a)
-            back = ctx.read_formatted(text)
-            # the reference: the unparenthesised text, read by the full grammar
-            assert back == a and back == parse_element(ctx, text), (ctx, text)
+        texts = [ctx.format_elem(a) for a in elems]
+        for a, text in zip(elems, texts):
+            # the whole text is read in one pass; the reference is the full
+            # grammar, which "+0" sends the text through
+            assert parse_element(ctx, text) == a == parse_element(ctx, f"{text}+0"), (ctx, text)
             # in parentheses, the parser reads the group in one pass
             assert parse_element(ctx, f"({text})") == a, (ctx, text)
             assert parse_series(ctx, f"({text})*x + O(x^3)").coeff_at(1) == a, (ctx, text)
             assert evaluate(ctx, f"({text})*x").coeff_at(1) == a, (ctx, text)
+        # every text as a certificate coefficient
+        obj = json.loads(certificate_to_json(decompose(term(ctx, ctx.gen(), 1, 9))))
+        b = obj["pairs"][0][0]
+        b.update(coeffs=texts, prec=b["val"] + len(texts))
+        back = certificate_from_json(json.dumps(obj)).pairs[0][0]
+        assert [back.coeff_at(b["val"] + k) for k in range(len(texts))] == elems, ctx
 
 
-_NON_CANONICAL = (
-    "g^1",
-    "1*g",
-    "g^0",
-    "g+g",
-    "g^3+g^5",
-    "01",
-    " g",
-    "g ^2",
-    "+g",
-    "g+",
-    "(g)+(g)",
-    "99999999999*g",
-    "9" * 5000,
-    "",
-)
+# Texts that format_elem does not print (and "0", which it does), each with
+# what parse_element and a certificate read from it, recorded before the
+# certificate reader lost its own tokeniser: the element, in the field's
+# arithmetic on the generator g, or the SeriesSyntaxError's message and
+# position.
+_NON_CANONICAL = {
+    "g^1": lambda g: g,
+    "1*g": lambda g: g,
+    "g^0": lambda g: g**0,
+    "g+g": lambda g: g + g,
+    "g^3+g^5": lambda g: g**3 + g**5,
+    "01": lambda g: g**0,
+    " g": lambda g: g,
+    "g ^2": lambda g: g**2,
+    "+g": lambda g: g,
+    "g+": ("unexpected end of input", None),
+    "(g)+(g)": lambda g: g + g,
+    "99999999999*g": lambda g: 99999999999 * g,
+    "9" * 5000: ("integer of 5000 digits is too long", 0),
+    "": ("unexpected end of input", None),
+    "2 * g": lambda g: 2 * g,
+    "g\t+1": lambda g: g + 1,
+    "g ": lambda g: g,
+    "g!": ("unexpected character '!'", 1),
+    "g\u00b2": ("unexpected character '\u00b2'", 1),
+    "0": lambda g: 0 * g,
+    "00": lambda g: 0 * g,
+}
 
 
-def test_read_formatted_leaves_other_texts_to_the_parser(gf34, gf28):
+def test_texts_off_format_elem_read_as_pinned(gf34, gf28):
     for ctx in (gf34, gf28) + _reader_fields():
         cert = decompose(term(ctx, ctx.gen(), 1, 9))
         obj = json.loads(certificate_to_json(cert))
         b = obj["pairs"][0][0]
         # p*g and g^m: on GF(3^4), "3*g" and "g^4"
-        for text in _NON_CANONICAL + (f"{ctx.p}*g", f"g^{ctx.m}"):
-            assert ctx.read_formatted(text) is None, (ctx, text)
+        pinned = dict(_NON_CANONICAL)
+        pinned.update({f"{ctx.p}*g": lambda g: 0 * g, f"g^{ctx.m}": lambda g: g**ctx.m})
+        for text, want in pinned.items():
             b["coeffs"][0] = text
-            try:
-                expect = parse_element(ctx, text)
-            except SeriesSyntaxError as exc:
-                with pytest.raises(SeriesSyntaxError) as got:
-                    certificate_from_json(json.dumps(obj))
-                assert str(got.value) == str(exc), (ctx, text)
-            else:
-                back = certificate_from_json(json.dumps(obj))
-                assert back.pairs[0][0].coeff_at(b["val"]) == expect, (ctx, text)
+            js = json.dumps(obj)
+            got = _outcome(lambda: parse_element(ctx, text))
+            via_cert = _outcome(lambda: certificate_from_json(js).pairs[0][0].coeff_at(b["val"]))
+            expect = want if isinstance(want, tuple) else want(ctx.gen())
+            assert got == via_cert == expect, (ctx, text)
 
 
 # The parser's errors for texts of _GROUP_TEXTS in parentheses, "(text)*x",
-# recorded before the one-pass read of parenthesised coefficients; every
-# other such group reads as its text does without the parentheses.
+# recorded before the one-pass read of parenthesised coefficients (the two
+# bad characters before the certificate reader lost its own tokeniser);
+# every other such group reads as its text does without the parentheses.
 _GROUP_ERRORS = {
     "": ("unexpected ')'", 1),
     "g+": ("unexpected ')'", 3),
     "9" * 5000: ("integer of 5000 digits is too long", 1),
+    "g!": ("unexpected character '!'", 2),
+    "g\u00b2": ("unexpected character '\u00b2'", 2),
 }
-_GROUP_TEXTS = _NON_CANONICAL + ("g^-1", "2*g^2-g")
+_GROUP_TEXTS = tuple(_NON_CANONICAL) + ("g^-1", "2*g^2-g")
 # Whole GF(3^4) inputs, each the same as series and as eval expression,
 # with the result or the error (message, position) recorded as above.
 _DEEP = "(" * 3000 + "1" + ")" * 3000 + "*x"

@@ -17,7 +17,6 @@ from skewlaurent.errors import (
     InfiniteOrder,
     NoWitness,
     NotInL,
-    NotInSpan,
     ZeroNotInvertible,
 )
 from skewlaurent.field_tower import (
@@ -36,6 +35,7 @@ from skewlaurent.linalg import particular_solver
 from skewlaurent.skew_series import from_terms
 
 from conftest import (
+    NotInSpan,
     coords,
     k0_independent,
     k0_rank,
