@@ -499,8 +499,7 @@ def evaluate(ctx, text, relprec=_DEFAULT_PREC):
 # certificate JSON
 
 
-def series_to_obj(s, write=str):
-    return {"val": s.val, "prec": s.prec, "coeffs": [write(c) for c in s.coeffs]}
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def _coefficient_writer(ctx):
@@ -558,19 +557,47 @@ def obj_to_series(ctx, obj, read, slack=0):
     return SkewSeries(ctx, val, coeffs, prec)
 
 
+def _json_list(items, pad):
+    """Encoded items as json.dumps(indent=2) lays out a list on a line indented by pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _series_json(s, write, pad):
+    """The series as json.dumps(indent=2) lays out {"val": ..., "prec": ...,
+    "coeffs": [...]} at indent pad, each coefficient written by write."""
+    key = "\n" + pad + "  "
+    coeffs = _json_list([_encode_str(write(c)) for c in s.coeffs], key[1:])
+    return (
+        f'{{{key}"val": {s.val:d},{key}"prec": {s.prec:d},{key}"coeffs": {coeffs}\n{pad}}}'
+    )
+
+
 def certificate_to_json(cert):
+    """json.dumps(obj, indent=2) of the certificate's object, written directly.
+
+    The standard library runs its C encoder only without an indent, so the
+    fixed layout is joined here, each string encoded as json.dumps does.
+    """
     write = _coefficient_writer(cert.ctx)
-    obj = {
-        "field": cert.ctx.field_spec(),
-        "sigma": cert.ctx.sigma_spec(),
-        "method": cert.method,
-        "prec": cert.check_prec,
-        "input": series_to_obj(cert.input, write),
-        "pairs": [[series_to_obj(b, write), series_to_obj(w, write)] for b, w in cert.pairs],
-    }
+    head = [
+        f'"field": {_encode_str(cert.ctx.field_spec())}',
+        f'"sigma": {_encode_str(cert.ctx.sigma_spec())}',
+        f'"method": {_encode_str(cert.method)}',
+        f'"prec": {cert.check_prec:d}',
+        f'"input": {_series_json(cert.input, write, "  ")}',
+    ]
+    pad = "      "
+    pairs = [
+        _json_list([_series_json(b, write, pad), _series_json(w, write, pad)], "    ")
+        for b, w in cert.pairs
+    ]
+    head.append(f'"pairs": {_json_list(pairs, "  ")}')
     if cert.experimental:
-        obj["experimental"] = True
-    return json.dumps(obj, indent=2)
+        head.append('"experimental": true')
+    return "{\n  " + ",\n  ".join(head) + "\n}"
 
 
 def certificate_from_json(text):

@@ -28,6 +28,11 @@ powers of sigma in a list from the moment it is set, so each image is
 mapped once.  bracket_preimage inverts b - sigma^j(b) once per residue
 of j mod n, and divides on raw values too.
 
+The order-4 L route runs no k0 linear algebra per coefficient: each
+step of its factorisation is a trace formula that gives the particular
+solution elimination over k0 would give (l_pair_step), and
+x_bracket_preimage applies the field's precomputed sigma - 1 preimage map.
+
 The resulting Certificate is self-contained and re-checkable: verify
 multiplies the commutators back out and compares coefficients below
 check_prec.  decompose() verifies every certificate before returning it.
@@ -48,8 +53,7 @@ from .errors import (
     WitnessFixed,
     ZeroInput,
 )
-from .field_tower import FFElem
-from .linalg import kernel_from_columns, particular_solver
+from .linalg import kernel_from_columns
 from .skew_series import SkewSeries, commutator, term, zero
 
 _CONJ_SEED = "conjugator-search"
@@ -156,13 +160,13 @@ def x_bracket_preimage(g):
     """w with [x, w] = g, for g whose coefficients all lie in Im(sigma - 1).
 
     [x, z*x^(i-1)] = (sigma(z) - z)*x^i, so each coefficient is lifted
-    through sigma - 1 and shifted one slot left.
+    through sigma - 1, on raw values by the context's preimage map, and
+    shifted one slot left.  NotInL for a coefficient outside Im(sigma - 1).
     """
     ctx = g.ctx
-    out = [
-        ctx.sigma_minus_one_preimage(c) if c else c for c in g.coeffs
-    ]
-    return SkewSeries(ctx, g.val - 1, out, g.prec - 1)
+    preimage = ctx._sigma_minus_one()
+    out = [preimage(c) if c else c for c in ctx._unwrap(g.coeffs)]
+    return SkewSeries(ctx, g.val - 1, ctx._wrap(out), g.prec - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +364,52 @@ def factor_with_l_coeffs(f):
     if o4.in_k1(lead):
         raise K1Leading("leading coefficient lies in k1; conjugate first")
     a0, b0 = factor_into_l_pair(o4, lead)
-    l_basis = o4.l_basis
-    solvers = {}  # t mod 4 -> solver for that step's columns
+    return _factor(f, f.val, a0.value, b0.value, l_pair_step(o4, a0, b0))
+
+
+def l_pair_step(o4, a0, b0):
+    """The step of factor_with_l_coeffs: (b_t, c_t) in L with a0*c_t + b_t*s = acc.
+
+    s = sigma^t(b0), and t, acc and what the step returns are raw values,
+    as _factor passes them.  The pair is the particular solution that
+    elimination over k0 gives: the unknowns are the coordinates of c_t,
+    then of b_t, against l_basis = (l_0, l_1, l_2), the free ones zero.
+    The three columns a0*l_i are independent, and they span
+    a0*L = {u : Tr(u/a0) = 0}, so the only other pivot is the first l_k*s
+    outside a0*L, the first k with Tr(l_k*lam) != 0, lam = s/a0.  Hence
+    b_t = x*l_k for a scalar x of k0 and c_t = y - b_t*lam, y = acc/a0;
+    c_t lies in L = ker Tr, and Tr is k0-linear, so x = Tr(y)/Tr(l_k*lam).
+    Per residue of t mod 4 the step keeps lam and mu = l_k/Tr(l_k*lam),
+    and per coefficient it takes y, b_t = Tr(y)*mu and c_t = y - b_t*lam.
+    Without such a k the columns span only a0*L: acc/a0 must lie in L
+    (b_t = 0, c_t = y), else DecompositionError.
+    """
+    ctx = o4.ctx
+    add, neg, mul, trace = ctx._add, ctx._neg, ctx._mul, ctx._trace
+    a0, b0, zero = ctx._unwrap((a0, b0, ctx.zero()))
+    a0_inv = ctx._inv(a0)
+    cases = []  # t mod 4 -> (lam, mu), mu None when no k exists
+    for s in [b0] + [ctx._sigma_map(i)(b0) for i in range(1, 4)]:
+        lam = mul(s, a0_inv)
+        mu = None
+        for l in ctx._unwrap(o4.l_basis):
+            tr = trace(mul(l, lam))
+            if tr:
+                mu = mul(ctx._inv(tr), l)
+                break
+        cases.append((lam, mu))
 
     def step(t, acc):
-        # a0*c_t + b_t*sigma^t(b0) = acc over k0, with b_t and c_t in L
-        tm = t % 4
-        solve = solvers.get(tm)
-        if solve is None:
-            sb0 = ctx.sigma(b0, tm)
-            cols = [ctx.k0_vec(a0 * l) for l in l_basis] + [
-                ctx.k0_vec(l * sb0) for l in l_basis
-            ]
-            solve = solvers[tm] = particular_solver(cols, ctx.k0_scalars())
-        sol = solve(ctx.k0_vec(FFElem(ctx, acc)))
-        if sol is None:
-            raise DecompositionError("L-pair independence failed mid-factorisation")
-        return o4.from_l_coords(sol[3:]).value, o4.from_l_coords(sol[:3]).value
+        lam, mu = cases[t % 4]
+        y = mul(acc, a0_inv)
+        if mu is None:
+            if trace(y):
+                raise DecompositionError("L-pair independence failed mid-factorisation")
+            return zero, y
+        b = mul(trace(y), mu)
+        return b, add(y, neg(mul(b, lam)))
 
-    return _factor(f, f.val, a0.value, b0.value, step)
+    return step
 
 
 def _pairs_order4_l(f):

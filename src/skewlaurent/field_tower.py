@@ -31,7 +31,12 @@ The finite-field context also does k0-linear algebra, over k0 = GF(p^d)
 as small ints (see ``linalg``), and the module hosts the order-4
 subspace context used by the decomposition engine: the image L of
 sigma - 1, the line k1 = {z : sigma(z) = -z} and the plane
-k2 = {z : sigma^2(z) = -z}.
+k2 = {z : sigma^2(z) = -z}.  Per coefficient, the order-4 route needs
+only the trace to k0, Tr = sum of the bound sigma maps (L = ker Tr, by
+additive Hilbert 90; the L-pair step solves with it in closed form, see
+``decompose.l_pair_step``), and the preimage under sigma - 1, one
+GF(p)-linear map on raw values built once per context from a single
+elimination over k0 and checked by sigma(z) - z == c.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import itertools
 import random
 import weakref
 from fractions import Fraction
+from functools import partial
 from math import fsum, gcd
 from operator import add, methodcaller, mul, neg, xor
 
@@ -58,9 +64,10 @@ from .errors import (
 from .linalg import (
     ModPScalars,
     ZechScalars,
+    dot,
     invert_matrix,
     kernel_from_columns,
-    particular_solver,
+    pivot_rows,
     rank_of_vectors,
 )
 from .packed import PackedGF2, PackedOddField, slot_codec
@@ -74,6 +81,8 @@ _P_LIMIT = 1 << 32
 _Q_LIMIT = 1 << 64
 _SEARCH_LIMIT = 1024
 _WITNESS_SEED = "normal-basis-search"
+# Entries in one lookup table of a table field's linear maps (_base_p_linear).
+_CHUNK_ENTRIES = 1 << 6
 # The exponent numerals of format_elem's text (m <= 64), without leading zeros.
 _POWERS = {str(i): i for i in range(2, 100)}
 
@@ -157,6 +166,37 @@ def _x_tables(p, m, mod):
     plus_one = list(range(1, q + 1))
     plus_one[p - 1 :: p] = range(0, q, p)  # digit 0 wraps from p - 1 to 0
     return ZechScalars(p, exp, list(map(plus_one.__getitem__, exp)))
+
+
+def _base_p_linear(p, m, add, images):
+    """v -> sum_i digit_i(v)*images[i] for base-p ints v of m digits.
+
+    One lookup table per chunk of c digits, p^c <= _CHUNK_ENTRIES, holds
+    the combination of that chunk's images for every value of its
+    digits; sums are taken with add.
+    """
+    c = 1
+    while c < m and p ** (c + 1) <= _CHUNK_ENTRIES:
+        c += 1
+    size = p**c
+    tables = []
+    for lo in range(0, m, c):
+        tab = [0]
+        for img in images[lo : lo + c]:
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(add(multiples[-1], img))
+            tab = [add(t, u) for u in multiples for t in tab]
+        tables.append(tab)
+
+    def apply(v):
+        r = 0
+        for tab in tables:
+            v, d = divmod(v, size)
+            r = add(r, tab[d])
+        return r
+
+    return apply
 
 
 def _is_irreducible(mod, p, kern=None):
@@ -467,7 +507,9 @@ class FiniteFieldCtx(FieldCtx):
     k0_vec is one precomputed GF(p) matrix applied to the coefficients,
     a big-int combination of its packed columns (``slot_codec``).  The
     trace to k0, ``k0_trace``, sums the bound sigma maps, and the order-4
-    subspace tests go through it or sigma.
+    subspace tests go through it or sigma.  _linear(images) makes the
+    GF(p)-linear map with the images of 1, g, ..., g^(m-1), such as the
+    sigma - 1 preimage: the packed kernel's, or ``_base_p_linear``.
     """
 
     def __init__(self, p, m, frob_power=1, modulus=None):
@@ -503,6 +545,7 @@ class FiniteFieldCtx(FieldCtx):
         self.key = ("gf", p, m, e, modulus)
         self._gen_value = p
         self._k0 = None
+        self._sig_minus_one = None
         # A table field whose x is primitive needs no kernel and no Rabin test.
         ops = _x_tables(p, m, modulus) if q <= _TABLE_LIMIT else None
         if ops is None:
@@ -566,6 +609,10 @@ class FiniteFieldCtx(FieldCtx):
             self._add = xor
         self._pow = ops.pow
         self._sig_maps = maps
+        if q <= _TABLE_LIMIT:
+            self._linear = partial(_base_p_linear, p, self.m, self._add)
+        else:
+            self._linear = ops.linear
 
     def sigma(self, a, i=1):
         j = i % self.sigma_order
@@ -575,11 +622,15 @@ class FiniteFieldCtx(FieldCtx):
 
     def k0_trace(self, a):
         """Tr(a) = sum_(i<n) sigma^i(a), the trace from k down to k0."""
-        add, v = self._add, a.value
+        return FFElem(self, self._trace(a.value))
+
+    def _trace(self, v):
+        """k0_trace on a raw value."""
+        add = self._add
         t = v
         for sig in self._sig_maps[1:]:
             t = add(t, sig(v))
-        return FFElem(self, t)
+        return t
 
     # -- series-kernel seam (see FieldCtx) -----------------------------------
 
@@ -833,31 +884,58 @@ class FiniteFieldCtx(FieldCtx):
             return self.from_int(c)
         return FFElem(self, self._k0_values()[c])
 
-    def _k0_tables(self, basis):
-        """Lookup tables for _k0_combine over basis (plain data)."""
-        return [[self._mul(a, b.value) for a in self._k0_values()] for b in basis]
-
-    def _k0_combine(self, tables, coeffs):
-        """sum_j coeffs[j]*basis[j] for k0 scalars coeffs, basis as in tables."""
-        add = self._add
-        v = 0
-        for tab, c in zip(tables, coeffs):
-            v = add(v, tab[c])
-        return FFElem(self, v)
-
     def sigma_minus_one_preimage(self, c):
         """Some z with sigma(z) - z = c, free coordinates pinned to zero."""
-        cached = getattr(self, "_sig_minus_one", None)
-        if cached is None:
-            basis = self.k0_vec_basis()
-            cols = [self.k0_vec(self.sigma(b, 1) - b) for b in basis]
-            cached = (particular_solver(cols, self.k0_scalars()), self._k0_tables(basis))
-            self._sig_minus_one = cached
-        solve, tables = cached
-        sol = solve(self.k0_vec(c))
-        if sol is None:
-            raise NotInL("element is not in the image of sigma - 1")
-        return self._k0_combine(tables, sol)
+        return FFElem(self, self._sigma_minus_one()(c.value))
+
+    def _sigma_minus_one(self):
+        """sigma_minus_one_preimage on raw values, built once.
+
+        The solution of sigma(z) - z = c over k0 against k0_vec_basis(),
+        its free coordinates zero, is k0-linear in c: one GF(p)-linear map,
+        _linear of the images of 1, g, ..., g^(m-1), all read off one
+        elimination (pivot_rows).  For d = 1 the coordinates are the digits
+        and the basis the powers of g, so the image of g^j is column j of
+        the rows placed at the pivots; for d > 1 it combines the normal
+        basis by the rows' products with the coordinates of g^j.  The map
+        is defined on all of k; z solves the equation exactly when c lies
+        in L = Im(sigma - 1), which sigma(z) - z == c checks (NotInL
+        otherwise).
+        """
+        if self._sig_minus_one is not None:
+            return self._sig_minus_one
+        m = self.m
+        sig, add, neg = self._sig_maps[1], self._add, self._neg
+        basis = self.k0_vec_basis()
+        scalars = self.k0_scalars()
+        pivots, rows = pivot_rows([self.k0_vec(self.sigma(b, 1) - b) for b in basis], scalars)
+        images = []
+        if self.subfield_degree == 1:
+            for j in range(m):
+                ds = [0] * m
+                for c, row in zip(pivots, rows):
+                    ds[c] = row[j]
+                images.append(self._pack(ds))
+        else:
+            vec, k0, ys = self._k0_setup()[1], self._k0_values(), self._unwrap(basis)
+            for j in range(m):
+                v = vec([int(i == j) for i in range(m)])
+                z = 0
+                for c, row in zip(pivots, rows):
+                    x = dot(row, v, scalars)
+                    if x:
+                        z = add(z, self._mul(k0[x], ys[c]))
+                images.append(z)
+        lin = self._linear(images)
+
+        def preimage(c):  # no reference to the context: it holds preimage
+            z = lin(c)
+            if add(sig(z), neg(z)) != c:
+                raise NotInL("element is not in the image of sigma - 1")
+            return z
+
+        self._sig_minus_one = preimage
+        return preimage
 
     def build_order4_ctx(self):
         if self.sigma_order != 4:
@@ -1383,7 +1461,6 @@ class Order4Ctx:
         self._l_basis = tuple(b.value for b in l_basis)
         self._e1 = (y - sy + s2 - s3).value
         self._k2_basis = (e2.value, ctx.sigma(e2, 1).value)
-        self._l_tables = ctx._k0_tables(l_basis)
 
     @property
     def ctx(self):
@@ -1413,10 +1490,6 @@ class Order4Ctx:
     def k2_basis(self):
         ctx = self.ctx
         return tuple(FFElem(ctx, v) for v in self._k2_basis)
-
-    def from_l_coords(self, coords):
-        """The element with coordinates coords (k0 scalars) against l_basis."""
-        return self.ctx._k0_combine(self._l_tables, coords)
 
     def in_l(self, a):
         return not self.ctx.k0_trace(a)

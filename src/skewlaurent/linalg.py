@@ -147,14 +147,15 @@ def rref(rows, scalars):
     return rows, pivots
 
 
-def particular_solver(columns, scalars):
-    """The particular solution x of sum_j x[j]*columns[j] = rhs (free
-    variables zero), or None, for fixed (nonempty) columns, as a function
-    of rhs.
+def pivot_rows(columns, scalars):
+    """(pivots, rows) giving the particular solution of sum_j x[j]*columns[j] = rhs.
 
-    Eliminating [columns | I] once records the row operations E; then
-    E*rhs holds the pivot values on top and, below them, entries that
-    all vanish exactly when the system is consistent.
+    Eliminating [columns | I] once records the row operations E.  For a
+    consistent rhs, the solution whose free variables are zero has
+    x[pivots[i]] = dot(rows[i], rhs), rows the first rank rows of E, and
+    every other x[j] zero.  The rows of E below them, whose products with
+    rhs vanish exactly when the system is consistent, are dropped: the
+    caller checks a solution by its own means.
     """
     k, n = len(columns), len(columns[0])
     rows = [
@@ -163,19 +164,7 @@ def particular_solver(columns, scalars):
     ]
     red, pivots = rref(rows, scalars)
     pivots = [c for c in pivots if c < k]
-    ops = [row[k:] for row in red]
-    rank = len(pivots)
-
-    def solve(rhs):
-        out = [dot(row, rhs, scalars) for row in ops]
-        if any(out[rank:]):
-            return None
-        x = [scalars.zero] * k
-        for c, v in zip(pivots, out):
-            x[c] = v
-        return x
-
-    return solve
+    return pivots, [row[k:] for row in red[: len(pivots)]]
 
 
 def kernel_from_columns(columns, scalars):

@@ -2,7 +2,7 @@ import pytest
 
 from skewlaurent.errors import NotInL, SkewLaurentError
 from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx
-from skewlaurent.linalg import particular_solver, rank_of_vectors
+from skewlaurent.linalg import dot, rank_of_vectors, rref
 from skewlaurent.skew_series import SkewSeries
 
 
@@ -35,6 +35,12 @@ def gf24():
 def gf58():
     """GF(5^8)/frob^2: order 4 over k0 = GF(25), on the packed backend."""
     return FiniteFieldCtx(5, 8, frob_power=2, modulus=(3, 2, 1, 0, 0, 0, 0, 0, 1))
+
+
+@pytest.fixture(scope="session")
+def gf312():
+    """GF(3^12)/frob^3: order 4 over k0 = GF(27), on the packed backend."""
+    return FiniteFieldCtx(3, 12, frob_power=3, modulus=(2, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))
 
 
 @pytest.fixture(scope="session")
@@ -89,6 +95,37 @@ def k0_independent(ctx, elems):
     return k0_rank(ctx, elems) == len(elems)
 
 
+def particular_solver(columns, scalars):
+    """The particular solution x of sum_j x[j]*columns[j] = rhs (free
+    variables zero), or None, for fixed (nonempty) columns, as a function
+    of rhs: the elimination oracle of the k0-linear algebra.
+
+    Eliminating [columns | I] once records the row operations E; then
+    E*rhs holds the pivot values on top and, below them, entries that
+    all vanish exactly when the system is consistent.
+    """
+    k, n = len(columns), len(columns[0])
+    rows = [
+        [col[i] for col in columns] + [scalars.one if i == j else scalars.zero for j in range(n)]
+        for i in range(n)
+    ]
+    red, pivots = rref(rows, scalars)
+    pivots = [c for c in pivots if c < k]
+    ops = [row[k:] for row in red]
+    rank = len(pivots)
+
+    def solve(rhs):
+        out = [dot(row, rhs, scalars) for row in ops]
+        if any(out[rank:]):
+            return None
+        x = [scalars.zero] * k
+        for c, v in zip(pivots, out):
+            x[c] = v
+        return x
+
+    return solve
+
+
 class NotInSpan(SkewLaurentError):
     """Element is not in the k0-span of the given basis."""
 
@@ -109,6 +146,46 @@ def l_coords(o4, a):
         return coords(o4.ctx, a, o4.l_basis)
     except NotInSpan as exc:
         raise NotInL("element is not in the image of sigma - 1") from exc
+
+
+def from_l_coords(o4, cs):
+    """The element with coordinates cs (k0 scalars) against o4.l_basis."""
+    ctx = o4.ctx
+    out = ctx.zero()
+    for c, b in zip(cs, o4.l_basis):
+        out = out + ctx.k0_scalar_to_elem(c) * b
+    return out
+
+
+def l_pair_oracle(o4, a0, b0, t, acc):
+    """(b, c) in L with a0*c + b*sigma^t(b0) = acc by elimination over k0:
+    the particular solution on the coordinates of c, then of b, against
+    o4.l_basis; None when there is none."""
+    ctx = o4.ctx
+    s = ctx.sigma(b0, t % 4)
+    cols = [ctx.k0_vec(a0 * l) for l in o4.l_basis] + [ctx.k0_vec(l * s) for l in o4.l_basis]
+    sol = particular_solver(cols, ctx.k0_scalars())(ctx.k0_vec(acc))
+    if sol is None:
+        return None
+    return from_l_coords(o4, sol[3:]), from_l_coords(o4, sol[:3])
+
+
+def sigma_minus_one_oracle(ctx):
+    """c -> z with sigma(z) - z = c by elimination over k0 against
+    ctx.k0_vec_basis(), free coordinates zero; None for c outside L."""
+    basis = ctx.k0_vec_basis()
+    solve = particular_solver([ctx.k0_vec(ctx.sigma(b, 1) - b) for b in basis], ctx.k0_scalars())
+
+    def preimage(c):
+        sol = solve(ctx.k0_vec(c))
+        if sol is None:
+            return None
+        out = ctx.zero()
+        for x, b in zip(sol, basis):
+            out = out + ctx.k0_scalar_to_elem(x) * b
+        return out
+
+    return preimage
 
 
 # Polynomials over GF(p) as digit tuples, ascending degree, trailing zeros

@@ -17,9 +17,8 @@ from skewlaurent.cli import (
     main,
     parse_element,
     parse_series,
-    series_to_obj,
 )
-from skewlaurent.decompose import decompose, verify_certificate
+from skewlaurent.decompose import Certificate, decompose, verify_certificate
 from skewlaurent.errors import FieldSpecError, SeriesSyntaxError
 from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx, _x_tables
 from skewlaurent.skew_series import SkewSeries, commutator, term, zero
@@ -357,10 +356,48 @@ def test_certificate_json_key_order(gf34):
     assert obj["experimental"] is True
 
 
+def series_to_obj(s):
+    return {"val": s.val, "prec": s.prec, "coeffs": [str(c) for c in s.coeffs]}
+
+
+def _dumps_reference(cert):
+    """The certificate through json.dumps(indent=2), as the writer once built it."""
+    obj = {
+        "field": cert.ctx.field_spec(),
+        "sigma": cert.ctx.sigma_spec(),
+        "method": cert.method,
+        "prec": cert.check_prec,
+        "input": series_to_obj(cert.input),
+        "pairs": [[series_to_obj(b), series_to_obj(w)] for b, w in cert.pairs],
+    }
+    if cert.experimental:
+        obj["experimental"] = True
+    return json.dumps(obj, indent=2)
+
+
+def test_certificate_json_is_the_indented_dump(gf34, gf24, gf25, qt_shift):
+    # every route, the experimental flag, zero series (an empty coeffs
+    # list), and certificates decompose never makes: no pairs, three pairs,
+    # a method with quotes, backslashes and non-ASCII text
+    rng = random.Random("cert-dump")
+    certs = [decompose(zero(gf34, 3))]
+    for ctx in (gf34, gf24, gf25, qt_shift):
+        for _ in range(8):
+            certs.append(decompose(random_series(ctx, rng, -5, 5, 10)))
+    assert {c.method for c in certs} >= {"ZeroInput", "DegreeAtLeast5", "InfiniteWitness"}
+    assert any(c.experimental for c in certs)
+    f = certs[1].input
+    b, w = certs[1].pairs[0]
+    for pairs in ((), ((b, w), (w, b), (b, zero(gf34, 2)))):
+        certs.append(Certificate(f, pairs, 'Order4L "\\ \u00e9\u2028', f.prec, True))
+    for cert in certs:
+        assert certificate_to_json(cert) == _dumps_reference(cert)
+
+
 def test_series_json_shape(gf34):
     f = term(gf34, gf34.gen(), -2, 1)
-    obj = series_to_obj(f)
-    assert obj == {"val": -2, "prec": 1, "coeffs": ["g", "0", "0"]}
+    obj = json.loads(certificate_to_json(Certificate(f, (), "ZeroInput", 1)))
+    assert obj["input"] == {"val": -2, "prec": 1, "coeffs": ["g", "0", "0"]}
 
 
 def test_malformed_certificates_rejected(gf34):

@@ -1,6 +1,7 @@
 """Decomposition engine: brackets, factorisations, dispatch, certificates."""
 
 import hashlib
+import importlib
 import random
 from collections import Counter
 
@@ -21,11 +22,13 @@ from skewlaurent.decompose import (
     factor_avoiding_multiples,
     factor_into_l_pair,
     factor_with_l_coeffs,
+    l_pair_step,
     split_exponent,
     verify_certificate,
     x_bracket_preimage,
 )
 from skewlaurent.errors import (
+    DecompositionError,
     FieldMismatch,
     IdentityAutomorphism,
     K1Input,
@@ -35,10 +38,13 @@ from skewlaurent.errors import (
     WitnessFixed,
     ZeroInput,
 )
-from skewlaurent.field_tower import FiniteFieldCtx
+from skewlaurent.field_tower import FFElem, FiniteFieldCtx
 from skewlaurent.skew_series import SkewSeries, commutator, from_terms, term, zero
 
-from conftest import k0_independent, nonzero_elem, random_series
+from conftest import k0_independent, l_pair_oracle, nonzero_elem, random_series
+
+# the module: the package re-exports the function decompose under its name
+decompose_module = importlib.import_module("skewlaurent.decompose")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +287,80 @@ def test_factor_with_l_coeffs_rejects_k1_leading(gf34):
     f = term(gf34, o4.e1, 2, 9)
     with pytest.raises(K1Leading):
         factor_with_l_coeffs(f)
+
+
+def _step_pair(o4, step, t, acc):
+    """What step returns for (t, acc), as elements."""
+    b, c = step(t, acc.value)
+    return FFElem(o4.ctx, b), FFElem(o4.ctx, c)
+
+
+@pytest.mark.parametrize("name", ["gf34", "gf24", "gf58", "gf312"])
+def test_l_pair_step_is_the_particular_solution(name, request):
+    # the trace formula gives the pair that elimination over k0 gives, at
+    # every residue of t mod 4, for seeded accumulators and L-pairs
+    ctx = request.getfixturevalue(name)
+    o4 = ctx.build_order4_ctx()
+    rng = random.Random(f"l-pair-step:{name}")
+    for _ in range(3):
+        lead = nonzero_elem(ctx, rng)
+        while o4.in_k1(lead):
+            lead = nonzero_elem(ctx, rng)
+        a0, b0 = factor_into_l_pair(o4, lead)
+        step = l_pair_step(o4, a0, b0)
+        for t in range(1, 9):
+            s = ctx.sigma(b0, t)
+            for _ in range(12):
+                acc = ctx.random_elem(rng)
+                b, c = _step_pair(o4, step, t, acc)
+                assert (b, c) == l_pair_oracle(o4, a0, b0, t, acc), (t, acc)
+                assert a0 * c + b * s == acc
+                assert o4.in_l(b) and o4.in_l(c)
+
+
+def test_l_pair_step_on_a_k0_dependent_pair(gf34):
+    # a0 = b0 puts sigma^t(b0)/a0 in k0 at t = 0 mod 4, also at t = 2 mod 4
+    # for a0 in k2 and at every t for a0 in k1: there the step solves only
+    # inside a0*L, as elimination does, and raises where elimination finds
+    # no solution
+    o4 = gf34.build_order4_ctx()
+    for a0, residues in ((o4.e1, 4), (o4.e2, 2), (o4.l_basis[0], 1)):
+        step = l_pair_step(o4, a0, a0)
+        raised = 0
+        for t in range(1, 5):
+            for acc in gf34.elements():
+                want = l_pair_oracle(o4, a0, a0, t, acc)
+                if want is None:
+                    with pytest.raises(DecompositionError, match="L-pair independence failed"):
+                        step(t, acc.value)
+                    raised += 1
+                else:
+                    assert _step_pair(o4, step, t, acc) == want, (t, acc)
+        # 54 of the 81 accumulators lie outside a0*L at each such residue
+        assert raised == residues * 54
+
+
+@pytest.mark.parametrize(
+    "spec, text, lead, message",
+    [
+        (("gf(3^4)", "frob"), "(g)*x^-2 + x + (g^3)*x^4 + O(x^10)", "e1",
+         "L-pair independence failed mid-factorisation"),
+        (("gf(3^4)", "frob"), "(g)*x^-2 + x + (g^3)*x^4 + O(x^10)", "e2",
+         "internal failure: a constructed certificate did not verify"),
+        (("gf(5^8);poly=3,2,1,0,0,0,0,0,1", "frob^2"),
+         "(g^1234)*x^2 + (g+3)*x^3 + (2*g^6)*x^5 + O(x^10)", "e2",
+         "L-pair independence failed mid-factorisation"),
+    ],
+)
+def test_order4l_with_a_k0_dependent_pair(spec, text, lead, message, monkeypatch):
+    # L-pairs (a, a) with a in k1 or k2, which factor_into_l_pair never
+    # returns; the outcomes are those of the elimination the step replaced
+    ctx = build_ctx(*spec)
+    a = getattr(ctx.build_order4_ctx(), lead)
+    monkeypatch.setattr(decompose_module, "factor_into_l_pair", lambda o4, c: (a, a))
+    with pytest.raises(DecompositionError) as exc:
+        decompose(parse_series(ctx, text))
+    assert str(exc.value) == message
 
 
 def test_x_bracket_preimage(gf34):

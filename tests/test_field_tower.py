@@ -31,7 +31,6 @@ from skewlaurent.field_tower import (
     RationalFunctionCtx,
     default_modulus,
 )
-from skewlaurent.linalg import particular_solver
 from skewlaurent.skew_series import from_terms
 
 from conftest import (
@@ -41,8 +40,10 @@ from conftest import (
     k0_rank,
     l_coords,
     nonzero_elem,
+    particular_solver,
     pdivmod,
     sigma_degree,
+    sigma_minus_one_oracle,
 )
 
 
@@ -287,6 +288,39 @@ def test_sigma_minus_one_preimage(gf34, gf25):
     o4 = gf34.build_order4_ctx()
     with pytest.raises(NotInL):
         gf34.sigma_minus_one_preimage(o4.y)
+
+
+@pytest.mark.parametrize("name", ["gf34", "gf24", "gf28_frob2", "gf58", "gf312"])
+def test_sigma_minus_one_preimage_is_the_particular_solution(name, request):
+    # the precomputed map gives the solution that elimination over k0 gives
+    # on every element of L and raises NotInL off L: on every element of the
+    # table fields, and on 500 seeded elements of the packed ones plus 500
+    # of their L
+    if name == "gf28_frob2":
+        ctx = FiniteFieldCtx(2, 8, frob_power=2)  # a table field with k0 = GF(4)
+    else:
+        ctx = request.getfixturevalue(name)
+    oracle = sigma_minus_one_oracle(ctx)
+    if ctx.q <= 256:
+        elems = list(ctx.elements())
+    else:
+        rng = random.Random(f"sigma-minus-one:{name}")
+        elems = [ctx.random_elem(rng) for _ in range(500)]
+        elems += [ctx.sigma(a, 1) - a for a in elems]
+    in_l = 0
+    for c in elems:
+        want = oracle(c)
+        if want is None:
+            with pytest.raises(NotInL):
+                ctx.sigma_minus_one_preimage(c)
+        else:
+            assert ctx.sigma_minus_one_preimage(c) == want, c
+            in_l += 1
+    # L has index |k0| in k
+    if ctx.q <= 256:
+        assert in_l * len(ctx.k0_scalar_elements()) == ctx.q
+    else:
+        assert in_l >= 500
 
 
 def test_infinite_order_has_no_k0_algebra(qt_shift):
@@ -799,11 +833,10 @@ def test_used_context_is_freed_without_the_cycle_collector():
             y = ctx.find_witness(ctx.sigma_order)
             ctx.k0_vec(y)
             ctx.k0_scalar_elements()
+            # the sigma - 1 preimage map, with its elimination and tables
+            ctx.sigma_minus_one_preimage(ctx.sigma(y, 1) - y)
             if ctx.sigma_order == 4:
-                o4 = ctx.build_order4_ctx()
-                ctx.sigma_minus_one_preimage(o4.l_basis[0])
-                o4.from_l_coords(l_coords(o4, o4.e2))
-                del o4
+                ctx.build_order4_ctx()
             ref = weakref.ref(ctx)
             del ctx, y
             assert ref() is None, (p, m, e)
