@@ -145,10 +145,10 @@ class _Parser:
     Coefficient expressions and series expressions share the tokens; a
     '*' directly before a series-level name ends the coefficient.  The
     list ends with a "" sentinel.  Text positions are found only for an
-    error message."""
+    error message.  toks, when given, is _tokens(text), already taken."""
 
-    def __init__(self, ctx, text, relprec, eval_mode=False):
-        self.toks = _tokens(text)
+    def __init__(self, ctx, text, relprec, eval_mode=False, toks=None):
+        self.toks = _tokens(text) if toks is None else toks
         self.i = 0
         self.text = text
         self.ctx = ctx
@@ -479,13 +479,14 @@ def parse_series(ctx, text, relprec=_DEFAULT_PREC):
 def parse_element(ctx, text):
     """The element that text writes.  A finite-field text exactly as
     format_elem prints it is read in one pass over its tokens; any other
-    text takes the full grammar."""
+    text takes the full grammar, on the same tokens."""
+    toks = None
     if isinstance(ctx, FiniteFieldCtx):
         toks = _tokens(text)  # the parser's error for a bad character or a non-str
         got = ctx.read_tokens(toks, 0)
         if got is not None and not toks[got[1]]:
             return got[0]
-    parser = _Parser(ctx, text, 0)
+    parser = _Parser(ctx, text, 0, toks=toks)
     out = parser.elem_sum()
     parser._end()
     return out

@@ -25,8 +25,10 @@ Both factorisations f = g*h share one triangular loop, _factor.  It runs
 on the raw values of the context's seam, as the series kernels do (see
 FieldCtx), and keeps the images of each coefficient of h under the
 powers of sigma in a list from the moment it is set, so each image is
-mapped once.  bracket_preimage inverts b - sigma^j(b) once per residue
-of j mod n, and divides on raw values too.
+mapped once.  On odd-p packed fields its sums switch to delayed
+reduction once they are long enough.  bracket_preimage inverts
+b - sigma^j(b) once per residue of j mod n, and divides on raw values
+too.
 
 The order-4 L route runs no k0 linear algebra per coefficient: each
 step of its factorisation is a trace formula that gives the particular
@@ -40,6 +42,7 @@ check_prec.  decompose() verifies every certificate before returning it.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -223,6 +226,13 @@ def _factor(f, u, b0, c0, step):
     it is set, repeated up to the width so that sigma^r(c_j) is read at
     position r: each image is mapped once, and only those the sums and h
     can read.
+    Where the context binds _wide (see FieldCtx), the sums turn delayed
+    once they are long enough to repay it: each b_r and the images of each
+    c_j are lifted once, and the sum for t is one plain-int sum of
+    products, reduced once.  In units of one field product, each step
+    left then saves about live - 2.5 (the loop takes up to live - 1
+    products, a delayed step about 1.5 for its reduction and lifts), and
+    the switch lifts about t + n*live values at a quarter each.
     g has precision prec - v and h has precision prec - u.
     """
     ctx = f.ctx
@@ -240,15 +250,43 @@ def _factor(f, u, b0, c0, step):
 
     bs = [b0] + [zero] * (width - 1)
     live = []  # (j, images of c_j) for the nonzero c_j, j >= 1, ascending
+    wide = ctx._wide
+    lbs = diag = None  # the lifted b_r and c_j images, once the sums are delayed
+
+    def place(j, img):
+        # diag[t % n][j] is sigma^(t-j)(c_j) lifted: the sum for t pairs
+        # lbs[t-1], ..., lbs[1] with diag[t % n][1], ..., diag[t % n][t-1]
+        for r, x in enumerate(img[:n]):
+            diag[(j + r) % n][j] = lift(x)
+
     for t in range(1, width):
-        total = zero
-        for j, img in live:
-            b = bs[t - j]
-            if b:
-                total = add(total, mul(b, img[t - j]))
-        bs[t], c = step(t, add(fs[t], neg(total)))
+        if diag is None:
+            total = zero
+            for j, img in live:
+                b = bs[t - j]
+                if b:
+                    total = add(total, mul(b, img[t - j]))
+            acc = add(fs[t], neg(total))
+        else:
+            total = sum(map(operator.mul, lbs[t - 1 : 0 : -1], diag[t % n][1:t]))
+            acc = add(fs[t], neg(reduce(total))) if total else fs[t]
+        bs[t], c = step(t, acc)
         if c:
             live.append((t, images(c, width - t)))
+        if diag is not None:
+            if bs[t]:
+                lbs[t] = lift(bs[t])
+            if c:
+                place(*live[-1])
+        elif c and wide is not None and (4 * len(live) - 10) * (width - t) >= t + n * len(live):
+            # the saving above, times 4, against the switch; for a fixed
+            # live count it only falls as t grows, so it is tested only
+            # when a c_j joins
+            lift, reduce = wide(width)
+            lbs = [lift(b) if b else 0 for b in bs]
+            diag = [[0] * width for _ in range(n)]
+            for j, img in live:
+                place(j, img)
     v = s - u
     ru = -u % n  # h's coefficient at x^(v+j) is sigma^(-u)(c_j)
     hs = [zero] * width

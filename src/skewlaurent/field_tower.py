@@ -64,7 +64,6 @@ from .errors import (
 from .linalg import (
     ModPScalars,
     ZechScalars,
-    dot,
     invert_matrix,
     kernel_from_columns,
     pivot_rows,
@@ -83,6 +82,11 @@ _SEARCH_LIMIT = 1024
 _WITNESS_SEED = "normal-basis-search"
 # Entries in one lookup table of a table field's linear maps (_base_p_linear).
 _CHUNK_ENTRIES = 1 << 6
+# series_mul sums by delayed reduction (where the context binds _wide)
+# when the pairs of nonzero terms, nf*ng, reach _DELAYED_RATIO times the
+# output width: below that, lifting and reducing cost more than the
+# products they save.
+_DELAYED_RATIO = 5
 # The exponent numerals of format_elem's text (m <= 64), without leading zeros.
 _POWERS = {str(i): i for i in range(2, 100)}
 
@@ -286,6 +290,7 @@ class FieldCtx:
     """
 
     sigma_order = None  # int for finite order, None for infinite
+    _wide = None  # k -> (lift, reduce) for delayed sums of k products, if bound
 
     # -- series kernels ----------------------------------------------------
     #
@@ -296,6 +301,13 @@ class FieldCtx:
     # is kept under r = i mod n from its first use, which needs the longest
     # prefix.  An inverse runs in pull order, each coefficient summed from
     # the earlier ones, so no product for a later coefficient comes first.
+    #
+    # A context may also bind _wide (``PackedOddField.wide``; only odd-p
+    # packed fields with one-byte kernel slots do): sums of products taken
+    # as plain ints in wide slots and reduced once.  series_mul takes it for
+    # a product whose pairs of nonzero terms reach _DELAYED_RATIO times its
+    # width, judged from the two operands' nonzero counts; sparser products,
+    # and every product of a context without it, run the row loop.
 
     def _map_row(self, rows, r, terms, k):
         """(j, sigma^r(b)) for the (j, b) in terms with j < k, kept for finite order."""
@@ -310,10 +322,15 @@ class FieldCtx:
         and g with nonempty windows."""
         add, mul, unwrap, n = self._add, self._mul, self._unwrap, self.sigma_order
         room = prec - f.val - g.val
+        fs = unwrap(f.coeffs[:room])
         terms = [(j, b) for j, b in enumerate(unwrap(g.coeffs[:room])) if b]
         rows = {0: terms}  # rows[r]: terms of sigma^r(g), r = i mod n
+        if self._wide is not None and terms:
+            nf = room - fs.count(0)
+            if nf * len(terms) >= _DELAYED_RATIO * room:
+                return self._wrap(self._delayed_mul(fs, f.val, terms, rows, min(nf, len(terms))))
         acc = unwrap((self.zero(),)) * room
-        for idx, a in enumerate(unwrap(f.coeffs[:room])):
+        for idx, a in enumerate(fs):
             if not a:
                 continue
             k = room - idx  # offsets into g below k reach the product
@@ -328,6 +345,37 @@ class FieldCtx:
                 e = idx + j
                 acc[e] = add(acc[e], mul(a, b))
         return self._wrap(acc)
+
+    def _delayed_mul(self, fs, val, terms, rows, bound):
+        """series_mul's coefficients by delayed reduction, with at most
+        bound products summed into any one of them.
+
+        Each row sigma^r(g) is lifted once into a dense list of wide-slot
+        ints (zero where g has no term), each nonzero coefficient of f once,
+        and a row's products are added into the plain-int sums by one
+        slice assignment; every sum is reduced once at the end.
+        """
+        lift, reduce = self._wide(bound)
+        n, room = self.sigma_order, len(fs)
+        top = terms[-1][0] + 1  # g has no term at or past offset top
+        lifted = {}  # lifted[r]: sigma^r(g) lifted, r = i mod n
+        acc = [0] * room
+        for idx, a in enumerate(fs):
+            if not a:
+                continue
+            k = room - idx  # offsets into g below k reach the product
+            r = (val + idx) % n
+            row = lifted.get(r)
+            if row is None:
+                sparse = rows.get(r) or self._map_row(rows, r, terms, k)
+                row = lifted[r] = [0] * min(top, k)
+                for j, b in sparse:
+                    if j >= k:
+                        break
+                    row[j] = lift(b)
+            end = min(room, idx + len(row))
+            acc[idx:end] = map(add, acc[idx:end], map(lift(a).__mul__, row))
+        return [reduce(s) if s else 0 for s in acc]
 
     def series_inverse(self, a, gval, gprec):
         """Coefficients from x^gval to O(x^gprec) of the inverse of the
@@ -500,6 +548,22 @@ class FiniteFieldCtx(FieldCtx):
     coefficients.  The tables stay for the small fields because lookups
     are cheaper there than the kernel's products and inverses.
 
+    A ``PackedOddField`` context with one-byte kernel slots (m*(p-1)^2 <
+    256) also binds _wide, the kernel's ``wide``: for a sum of up to k
+    products, lift re-spreads a value into slots of slot_codec(p, m*k)
+    width, which hold k*m*(p-1)^2, and reduce takes the plain-int sum of
+    lifted products back to an element, each slot mod p and then folded
+    as one product is.  series_mul and decompose's
+    factor loop sum dense rows that way (see FieldCtx).  Table fields,
+    ``PackedGF2`` and wider kernel slots, as on GF(17^5), bind none.
+    Wider slots would be reduced digit by digit in Python, the step
+    that made a delayed sum lose to the loop at width 8, and no measured
+    workload has them.  Lifting rows of logs into a table field's
+    slots cost more in each certificate's context build than the products
+    saved.  GF(2^m) products are carry-less, and where sigma's order
+    reaches the width, as on GF(2^20)/frob, nearly every row is a fresh
+    sigma image, lifted for a single pair.
+
     The k0-linear algebra runs over k0 = GF(p^d), d = gcd(m, e), as small
     ints: residues mod p when d = 1, ``ZechScalars`` otherwise, where the
     int with base-p digits c_0, ..., c_(d-1) stands for sum_j c_j*beta_j
@@ -608,6 +672,8 @@ class FiniteFieldCtx(FieldCtx):
         if p == 2:  # base-2 packing: a sum is the XOR of the coefficient bits
             self._add = xor
         self._pow = ops.pow
+        # delayed sums on one-byte kernel slots only (see the class docstring)
+        self._wide = ops.wide if isinstance(ops, PackedOddField) and ops.shift == 8 else None
         self._sig_maps = maps
         if q <= _TABLE_LIMIT:
             self._linear = partial(_base_p_linear, p, self.m, self._add)
@@ -805,22 +871,23 @@ class FiniteFieldCtx(FieldCtx):
         return list(range(len(self._k0_values())))
 
     def _k0_setup(self):
-        """(scalars, vec) behind k0_scalars and k0_vec, built once.
+        """(scalars, vec, units) behind k0_scalars and k0_vec, built once.
 
         For d > 1, vec takes the digits of an element to its m/d
         k0-coordinates: it inverts the GF(p)-linear map that takes the
         digits c_(i*d+j) to sum c_(i*d+j)*beta_j*sigma^i(y), y the
         normal-basis element, as one big-int combination of the packed
         columns of the inverse (see slot_codec), scalar i having base-p
-        digits i*d, ..., i*d + d - 1 of the combination.  The scalar
-        tables come from a generator of the multiplicative group of k0.
-        vec is None for d = 1, where the coordinates are the digits.
+        digits i*d, ..., i*d + d - 1 of the combination.  units[j] is the
+        coordinates of g^j, read off column j alone.  The scalar tables
+        come from a generator of the multiplicative group of k0.  vec and
+        units are None for d = 1, where the coordinates are the digits.
         """
         if self._k0 is not None:
             return self._k0
         p, m, d = self.p, self.m, self.subfield_degree
         if d == 1:
-            self._k0 = (ModPScalars(p), None)
+            self._k0 = (ModPScalars(p), None, None)
             return self._k0
         elems = self._k0_values()
         pos = {v: c for c, v in enumerate(elems)}
@@ -833,11 +900,14 @@ class FiniteFieldCtx(FieldCtx):
         packed = [join(col) for col in zip(*inv)]
         pw = [p**j for j in range(d)]
 
-        def vec(digits):  # no reference to the context: it holds vec
-            ds = split(sum(map(mul, digits, packed)), m)
+        def coords(v):  # a GF(p)-combination of the columns, as k0 scalars
+            ds = split(v, m)
             return tuple([sum(map(mul, ds[i : i + d], pw)) for i in range(0, m, d)])
 
-        self._k0 = (scalars, vec)
+        def vec(digits):  # no reference to the context: it holds vec
+            return coords(sum(map(mul, digits, packed)))
+
+        self._k0 = (scalars, vec, [coords(col) for col in packed])
         return self._k0
 
     def _conjugate_digits(self, y):
@@ -896,8 +966,10 @@ class FiniteFieldCtx(FieldCtx):
         _linear of the images of 1, g, ..., g^(m-1), all read off one
         elimination (pivot_rows).  For d = 1 the coordinates are the digits
         and the basis the powers of g, so the image of g^j is column j of
-        the rows placed at the pivots; for d > 1 it combines the normal
-        basis by the rows' products with the coordinates of g^j.  The map
+        the rows placed at the pivots.  For d > 1 the image of basis
+        element i combines the basis at the pivots by the rows' entries i,
+        and the image of g^j combines those by the coordinates of g^j,
+        column j of the inverse that k0_vec applies (_k0_setup).  The map
         is defined on all of k; z solves the equation exactly when c lies
         in L = Im(sigma - 1), which sigma(z) - z == c checks (NotInL
         otherwise).
@@ -917,15 +989,18 @@ class FiniteFieldCtx(FieldCtx):
                     ds[c] = row[j]
                 images.append(self._pack(ds))
         else:
-            vec, k0, ys = self._k0_setup()[1], self._k0_values(), self._unwrap(basis)
-            for j in range(m):
-                v = vec([int(i == j) for i in range(m)])
+            k0, ys, mul_ = self._k0_values(), self._unwrap(basis), self._mul
+
+            def combine(xs, vs):  # sum of k0[x]*v, on raw values
                 z = 0
-                for c, row in zip(pivots, rows):
-                    x = dot(row, v, scalars)
+                for x, v in zip(xs, vs):
                     if x:
-                        z = add(z, self._mul(k0[x], ys[c]))
-                images.append(z)
+                        z = add(z, mul_(k0[x], v))
+                return z
+
+            at_pivots = [ys[c] for c in pivots]
+            solved = [combine([row[i] for row in rows], at_pivots) for i in range(len(ys))]
+            images = [combine(v, solved) for v in self._k0_setup()[2]]
         lin = self._linear(images)
 
         def preimage(c):  # no reference to the context: it holds preimage

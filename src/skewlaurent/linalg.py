@@ -203,10 +203,3 @@ def invert_matrix(rows, scalars):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def dot(row, vec, scalars):
-    acc = scalars.zero
-    for a, b in zip(row, vec):
-        acc = scalars.add(acc, scalars.mul(a, b))
-    return acc

@@ -12,7 +12,11 @@ An element is one Python int holding its m coefficients over GF(p):
 * ``PackedOddField`` (odd p) puts coefficient i in a byte-aligned slot
   wide enough that a product of two packed polynomials is one big-int
   product (Kronecker substitution; Harvey, JSC 2009), reduced slot by
-  slot afterwards.
+  slot afterwards.  Where a slot is one byte, for a sum of k products
+  it also re-spreads values into wide slots (``wide``), sized by
+  slot_codec(p, m*k) to hold k*m*(p-1)^2, so the products are summed as
+  plain ints and reduced once: delayed reduction, as in FFLAS-FFPACK
+  (Dumas, Giorgi and Pernet, ACM TOMS 2008).
 
 Both reduce a product through the precomputed images of x^m, ...,
 x^(2m-2), invert by the extended Euclidean algorithm over GF(p)[x]
@@ -24,6 +28,7 @@ ZeroNotInvertible for an element sharing a factor with f.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul, xor
 
 from .errors import ZeroNotInvertible
@@ -32,6 +37,17 @@ from .errors import ZeroNotInvertible
 # maps: 2^11 keeps GF(2^20)/frob (20 maps) at 4-bit chunks, about 60 KB.
 LINEAR_TABLE_BUDGET = 1 << 11
 _ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _slot_bytes(bound):
+    """Bytes in the narrowest slot that holds every value up to bound."""
+    return max(1, -(-bound.bit_length() // 8))
+
+
+@lru_cache(maxsize=64)
+def _byte_residues(p, nbytes):
+    """Translate tables b -> b*256^i mod p for the bytes i < nbytes of a slot."""
+    return tuple(bytes((b << 8 * i) % p for b in range(256)) for i in range(nbytes))
 
 
 def slot_codec(p, n):
@@ -44,9 +60,7 @@ def slot_codec(p, n):
     ``split(v, count)`` returns the first count slots reduced mod p, and
     ``join`` packs such a sequence back into an int.
     """
-    nbytes = 1
-    while 256**nbytes <= n * (p - 1) ** 2:
-        nbytes += 1
+    nbytes = _slot_bytes(n * (p - 1) ** 2)
     bits = 8 * nbytes
     if nbytes == 1:
         modp = bytes(b % p for b in range(256))
@@ -211,7 +225,10 @@ class PackedOddField(PackedField):
     Sums, negatives and GF(p)-linear maps are big-int sums reduced slot
     by slot.  A product is one big-int product, reduced mod p and then
     through the precomputed images of x^m, ..., x^(2m-2); inverses run
-    the extended Euclidean algorithm on the packed polynomials.
+    the extended Euclidean algorithm on the packed polynomials.  A slot
+    holds m*(p-1)^2, one product's worth; where that fits in one byte,
+    ``wide(k)`` gives the lift into slots that hold k*m*(p-1)^2 and the
+    reduction back, for sums of k products reduced once.
     """
 
     def __init__(self, p, m, modulus):
@@ -232,6 +249,7 @@ class PackedOddField(PackedField):
             cur <<= self._bits
             cur = self._reduce((cur & ((1 << top) - 1)) + (cur >> top) * x_m)
         self._fold = fold
+        self._wide = {}  # slot bytes -> (lift, reduce), see wide
 
     def _reduce(self, v):
         return self._join(self._split(v, self.m))
@@ -246,6 +264,53 @@ class PackedOddField(PackedField):
         m = self.m
         ds = self._split(a * b, 2 * m - 1)
         return self._join(self._split(self._join(ds[:m]) + sum(map(mul, ds[m:], self._fold)), m))
+
+    def wide(self, k):
+        """(lift, reduce) for a sum of up to k products, reduced once.
+
+        Only for one-byte kernel slots (m*(p-1)^2 < 256), where a value's
+        bytes are its digits.  lift(a) re-spreads the m digits of a into
+        slots of slot_codec(p, m*k) width.  The plain-int product of two
+        lifted values then has 2m - 1 slots of at most m*(p-1)^2 each, so
+        a plain-int sum of k such products overflows no slot.  reduce(s)
+        is the element such a sum stands for: every slot mod p, then
+        folded through the images of x^m, ..., x^(2m-2) as mul folds one
+        product.  The pair is built once per slot width.
+        """
+        p, m = self.p, self.m
+        nbytes = _slot_bytes(m * k * (p - 1) ** 2)
+        pair = self._wide.get(nbytes)
+        if pair is None:
+            pair = self._wide[nbytes] = self._wide_pair(nbytes)
+        return pair
+
+    def _wide_pair(self, nbytes):
+        p, m, fold = self.p, self.m, self._fold
+        slots = 2 * m - 1  # slots of a product
+        # A wide slot is reduced a byte position at a time: byte i of every
+        # slot maps to its residue b*256^i mod p by one bytes.translate.  The
+        # nbytes residues of a slot sum below 256, as p <= 13 here and
+        # nbytes < 20 for any k that fits in memory.
+        tables = _byte_residues(p, nbytes)
+        modp = tables[0]
+        zeros = bytes(m * nbytes)
+        unpack = int.from_bytes
+
+        def lift(a):
+            buf = bytearray(zeros)
+            buf[::nbytes] = a.to_bytes(m, "little")
+            return unpack(buf, "little")
+
+        def reduce(s):
+            bs = s.to_bytes(slots * nbytes, "little")
+            t = 0
+            for i, tab in enumerate(tables):
+                t += unpack(bs[i::nbytes].translate(tab), "little")
+            ds = t.to_bytes(slots, "little").translate(modp)
+            v = unpack(ds[:m], "little") + sum(map(mul, ds[m:], fold))
+            return unpack(v.to_bytes(m, "little").translate(modp), "little")
+
+        return lift, reduce
 
     def inv(self, a):
         if a == 0:

@@ -2,7 +2,7 @@ import pytest
 
 from skewlaurent.errors import NotInL, SkewLaurentError
 from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx
-from skewlaurent.linalg import dot, rank_of_vectors, rref
+from skewlaurent.linalg import rank_of_vectors, rref
 from skewlaurent.skew_series import SkewSeries
 
 
@@ -95,6 +95,13 @@ def k0_independent(ctx, elems):
     return k0_rank(ctx, elems) == len(elems)
 
 
+def _dot(row, vec, scalars):
+    acc = scalars.zero
+    for a, b in zip(row, vec):
+        acc = scalars.add(acc, scalars.mul(a, b))
+    return acc
+
+
 def particular_solver(columns, scalars):
     """The particular solution x of sum_j x[j]*columns[j] = rhs (free
     variables zero), or None, for fixed (nonempty) columns, as a function
@@ -115,7 +122,7 @@ def particular_solver(columns, scalars):
     rank = len(pivots)
 
     def solve(rhs):
-        out = [dot(row, rhs, scalars) for row in ops]
+        out = [_dot(row, rhs, scalars) for row in ops]
         if any(out[rank:]):
             return None
         x = [scalars.zero] * k

@@ -544,6 +544,19 @@ def test_texts_off_format_elem_read_as_pinned(gf34, gf28):
             assert got == via_cert == expect, (ctx, text)
 
 
+def test_parse_element_tokenises_each_text_once(monkeypatch, gf34, qt_shift):
+    # the pinned outcomes above stay; a text off the one-pass form goes to
+    # the grammar on the tokens the one-pass try already took
+    calls = []
+    tokens = cli_module._tokens
+    monkeypatch.setattr(cli_module, "_tokens", lambda text: calls.append(text) or tokens(text))
+    for ctx in (gf34, qt_shift):
+        for text in ("g^3+2*g", "g^3+2*g+0", "(g)+(g)", "g+", "g!", "1", "(t+1)/(t+2)"):
+            calls.clear()
+            _outcome(lambda: parse_element(ctx, text))
+            assert calls == [text], (ctx, text)
+
+
 # The parser's errors for texts of _GROUP_TEXTS in parentheses, "(text)*x",
 # recorded before the one-pass read of parenthesised coefficients (the two
 # bad characters before the certificate reader lost its own tokeniser);

@@ -11,21 +11,24 @@ The tables are in turn checked against schoolbook polynomial arithmetic
 over digit tuples, which shares no code with either backend.
 """
 
+import importlib
 import random
 
 import pytest
 
 from skewlaurent import field_tower
 from skewlaurent.cli import certificate_to_json
-from skewlaurent.decompose import decompose
+from skewlaurent.decompose import decompose, factor_avoiding_multiples, factor_with_l_coeffs
 from skewlaurent.errors import UnsupportedOrder
 from skewlaurent.field_tower import FiniteFieldCtx
 from skewlaurent.linalg import ZechScalars
-from skewlaurent.packed import PackedField
+from skewlaurent.packed import PackedField, PackedOddField
 from skewlaurent.reduced_trace import reduced_trace
 from skewlaurent.skew_series import SkewSeries, commutator, zero
 
 from conftest import pdivmod, pmul
+
+decompose_module = importlib.import_module("skewlaurent.decompose")
 
 # (p, m, Frobenius power): orders 4, 4, 8, 5 and 4 with k0 = GF(4), then
 # two fields whose packed slots need two bytes (m*(p-1)^2 >= 256): an
@@ -178,3 +181,191 @@ def test_certificates_match_tables(backends):
         assert routes == {"Order4Split", "Order4L", "Order4Conjugated", "ZeroInput"}
     else:
         assert routes == {"DegreeAtLeast5", "ZeroInput"}
+
+
+# ---------------------------------------------------------------------------
+# delayed reduction on odd-p packed fields against the row loop
+#
+# series_mul and decompose._factor sum products in wide Kronecker slots and
+# reduce each sum once (PackedOddField.wide) when the operands are dense
+# enough; the row loop reduces every product.  Both must give the same
+# values.  Forcing the loop is setting the context's _wide to None; forcing
+# the delayed product is a _DELAYED_RATIO of 0.  Only fields with one-byte
+# kernel slots delay; wider ones, as GF(17^5) and GF(257^3), keep the loop.
+
+# (p, m, Frobenius power): sigma of every order from 2 to 12
+DELAYED_FIELDS = [
+    (11, 2, 1), (7, 3, 1), (5, 8, 2), (3, 5, 1), (3, 6, 1), (3, 7, 1), (3, 8, 1),
+    (3, 9, 1), (3, 10, 1), (3, 11, 1), (3, 12, 1),
+]  # fmt: skip
+SHAPES = ("dense", "sparse", "mixed", "top")
+
+
+@pytest.fixture(scope="module", params=DELAYED_FIELDS, ids=lambda f: "gf({}^{})/frob^{}".format(*f))
+def packed_odd(request):
+    p, m, e = request.param
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field_tower, "_TABLE_LIMIT", 1)
+        ctx = FiniteFieldCtx(p, m, frob_power=e)
+    assert ctx._wide is not None
+    return ctx
+
+
+def _coeffs(ctx, rng, width, shape):
+    """Coefficients of one operand: every digit p - 1 for "top", else random
+    ones, nonzero everywhere ("dense"), at about a quarter of the offsets
+    ("sparse") or dense in the lower half only ("mixed"); the first is
+    nonzero."""
+    top = ctx.elem([ctx.p - 1] * ctx.m)
+    out = []
+    for j in range(width):
+        if shape == "top":
+            out.append(top)
+        elif j and (
+            shape == "sparse" and rng.random() < 0.75 or shape == "mixed" and 2 * j >= width
+        ):
+            out.append(ctx.zero())
+        else:
+            out.append(ctx.random_elem(rng) or ctx.one())
+    return out
+
+
+def _slot_checked(ctx, ks):
+    """ctx._wide, each reduce checked against its k's slot bound: no slot of
+    a sum past k*m*(p-1)^2 and nothing past the 2m - 1 slots of a product."""
+    wide, kern, p, m = ctx._wide, ctx._mul.__self__, ctx.p, ctx.m
+
+    def checked(k):
+        lift, reduce = wide(k)
+        bits = lift(kern.x).bit_length() - 1
+        cap = k * m * (p - 1) ** 2
+        assert cap < 1 << bits
+
+        def reduce_checked(s):
+            assert s >> bits * (2 * m - 1) == 0
+            assert max((s >> bits * i) & ((1 << bits) - 1) for i in range(2 * m - 1)) <= cap
+            ks.append(k)
+            return reduce(s)
+
+        return lift, reduce_checked
+
+    return checked
+
+
+@pytest.mark.parametrize("p, m", [(3, 4), (5, 8), (7, 4), (11, 2)], ids=lambda v: str(v))
+def test_wide_slots_hold_every_sum(p, m):
+    kern = PackedOddField(p, m, field_tower.default_modulus(p, m))
+    unit = m * (p - 1) ** 2  # the largest slot value of one product
+    ks = {1, 2, 3}
+    for nbytes in range(1, 5):  # the last k of each slot width, and the first of the next
+        k = (256**nbytes - 1) // unit
+        if 1 <= k <= 600:
+            ks |= {k, k + 1}
+    full = kern.pack([p - 1] * m)
+    rng = random.Random(f"wide:{p}^{m}")
+    for k in sorted(ks):
+        lift, reduce = kern.wide(k)
+        bits = lift(kern.x).bit_length() - 1
+        assert lift(1) == 1 and bits % 8 == 0
+        # the narrowest slot that holds k*unit
+        assert k * unit < 1 << bits and (bits == 8 or k * unit >= 1 << bits - 8)
+        s = k * lift(full) ** 2  # k products at every digit p - 1
+        mask = (1 << bits) - 1
+        assert [s >> bits * i & mask for i in range(2 * m - 1)] == [
+            k * (min(i, 2 * m - 2 - i) + 1) * (p - 1) ** 2 for i in range(2 * m - 1)
+        ]
+        assert s >> bits * (2 * m - 1) == 0
+        want = 0
+        for _ in range(k):
+            want = kern.add(want, kern.mul(full, full))
+        assert reduce(s) == want
+        pairs = [
+            [kern.pack([rng.randrange(p) for _ in range(m)]) for _ in range(2)] for _ in range(k)
+        ]
+        want = 0
+        for a, b in pairs:
+            want = kern.add(want, kern.mul(a, b))
+        assert reduce(sum(lift(a) * lift(b) for a, b in pairs)) == want
+
+
+def test_delayed_series_mul_matches_row_loop(packed_odd, monkeypatch):
+    ctx = packed_odd
+    rng = random.Random("delayed-mul:" + ctx.field_spec())
+    ks = []
+    cases = []
+    for width in (1, 2, 3, 8, 17, 40):
+        for f_shape in SHAPES:
+            g_shape = rng.choice(SHAPES)
+            operands = []
+            for shape, w in ((f_shape, width), (g_shape, width - rng.randrange(width))):
+                val = rng.randint(-13, 13)
+                operands.append(SkewSeries(ctx, val, _coeffs(ctx, rng, w, shape), val + w))
+            cases.append(tuple(operands))
+
+    def products():
+        return [[c.value for c in (f * g).coeffs] for f, g in cases]
+
+    monkeypatch.setattr(ctx, "_wide", _slot_checked(ctx, ks))
+    chosen = products()  # each product takes the path series_mul chooses
+    used = len(ks)
+    monkeypatch.setattr(field_tower, "_DELAYED_RATIO", 0)
+    delayed = products()
+    monkeypatch.setattr(ctx, "_wide", None)
+    loop = products()
+    assert chosen == loop
+    assert delayed == loop
+    assert 0 < used < len(ks)  # the rule keeps some products on the loop
+
+
+def test_delayed_factor_matches_row_loop(packed_odd, monkeypatch):
+    ctx = packed_odd
+    n = ctx.sigma_order
+    rng = random.Random("delayed-factor:" + ctx.field_spec())
+    cases = []
+    for width in (8, 24, 48):
+        for shape in SHAPES:
+            val = rng.randint(-9, 9)
+            u = val + rng.randint(-6, 6)  # the loop needs no split avoiding multiples of n
+            cases.append((SkewSeries(ctx, val, _coeffs(ctx, rng, width, shape), val + width), u))
+    if n == 4:
+        o4 = ctx.build_order4_ctx()
+        for width in (8, 24, 48):
+            for shape in SHAPES:
+                coeffs = _coeffs(ctx, rng, width, shape)
+                while o4.in_k1(coeffs[0]):
+                    coeffs[0] = ctx.random_elem(rng)
+                cases.append((SkewSeries(ctx, 2, coeffs, 2 + width), None))
+
+    # a step that sets every b_t and c_t, so that any order delays early:
+    # it solves nothing, but both paths must pass it the same sums
+    dense = [(f, u, "dense") for f, u in cases if u is not None]
+
+    def factors():
+        out = []
+        for f, u, *how in cases + dense:
+            if how:
+                b0 = f.coeffs[0].value
+                pair = decompose_module._factor(f, u, b0, b0, lambda t, acc: (acc, acc))
+            elif u is None:
+                pair = factor_with_l_coeffs(f)
+            else:
+                pair = factor_avoiding_multiples(f, u, f.val - u)
+            out.append([(s.val, s.prec, [c.value for c in s.coeffs]) for s in pair])
+        return out
+
+    ks = []
+    monkeypatch.setattr(ctx, "_wide", _slot_checked(ctx, ks))
+    delayed = factors()
+    monkeypatch.setattr(ctx, "_wide", None)
+    assert delayed == factors()
+    assert ks  # the widest factorisations delay their sums
+
+
+def test_delayed_reduction_only_on_odd_packed_fields(gf34, gf220, qt_shift, gf58):
+    # Zech tables, GF(2^m), Q(t) and kernel slots wider than a byte (17^5:
+    # two, 257^3: three) keep the row loop
+    assert gf34._wide is None and gf220._wide is None and qt_shift._wide is None
+    assert gf58._wide is not None
+    for p, m in ((17, 5), (257, 3)):
+        ctx = FiniteFieldCtx(p, m)
+        assert ctx._mul.__self__.shift > 8 and ctx._wide is None
