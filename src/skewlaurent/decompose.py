@@ -42,6 +42,7 @@ check_prec.  decompose() verifies every certificate before returning it.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -56,7 +57,6 @@ from .errors import (
     WitnessFixed,
     ZeroInput,
 )
-from .linalg import kernel_from_columns
 from .skew_series import SkewSeries, commutator, term, zero
 
 _CONJ_SEED = "conjugator-search"
@@ -345,6 +345,14 @@ def _l_pair_ok(o4, a, b, c):
 def factor_into_l_pair(o4, c):
     """c = a*b with a, b in L and {a, sigma^i(b)} independent for all i.
 
+    The candidates z lie in the plane k2, spanned by e2 and sigma(e2).
+    For c that sigma^2 fixes both factors can be taken inside k2, a = z.
+    Otherwise a = z^(-1) and b = c*z, where c*z must lie back inside L,
+    the kernel of the trace to k0: with t1 = Tr(c*e2) and
+    t2 = Tr(c*sigma(e2)), z = sigma(e2) - (t2/t1)*e2 when t1 != 0, else
+    e2 and, if t2 = 0 too, every z.  The candidates are tried in the
+    order of elimination over k0: that z, or e2 and then the lines
+    lam*e2 + sigma(e2) for lam in k0_scalar_elements() order.
     The independence postcondition is what keeps the series-level
     factorisation solvable at every later coefficient, so it is checked
     here for each candidate and certified by construction.
@@ -355,38 +363,21 @@ def factor_into_l_pair(o4, c):
     if o4.in_k1(c):
         raise K1Input("elements of k1 admit no L-pair factorisation")
     e2, se2 = o4.k2_basis
-    scalars = ctx.k0_scalars()
+    lines = (ctx.k0_scalar_to_elem(lam) * e2 + se2 for lam in ctx.k0_scalar_elements())
     fixed = ctx.sigma(c, 2) == c
     if fixed:
-        # c is sigma^2-fixed: both factors can be taken inside k2, a = z
-        basis = [(scalars.one, scalars.zero), (scalars.zero, scalars.one)]
+        candidates = itertools.chain([e2], lines)
     else:
-        # choose z in k2 with c*z back inside L, the kernel of the trace to
-        # k0, then split off z^(-1); a trace lies in k0, so it vanishes
-        # exactly when its first k0-coordinate does
-        cols = [(ctx.k0_vec(ctx.k0_trace(c * b))[0],) for b in (e2, se2)]
-        basis = kernel_from_columns(cols, scalars)
-    for vec in _kernel_lines(basis, ctx.k0_scalar_elements(), scalars):
-        z = ctx.k0_scalar_to_elem(vec[0]) * e2 + ctx.k0_scalar_to_elem(vec[1]) * se2
-        if not z:
-            continue
+        t1, t2 = ctx.k0_trace(c * e2), ctx.k0_trace(c * se2)
+        if t1:
+            candidates = [se2 - t2 / t1 * e2]
+        else:
+            candidates = itertools.chain([e2], () if t2 else lines)
+    for z in candidates:
         a, b = (z, z.inverse() * c) if fixed else (z.inverse(), c * z)
         if _l_pair_ok(o4, a, b, c):
             return a, b
     raise DecompositionError("no valid L-pair factorisation was found")
-
-
-def _kernel_lines(kb, k0_elems, scalars):
-    """One vector per k0-line of span(kb): kb[0], then kb[1] + lam*kb[0]."""
-    if not kb:
-        return
-    yield kb[0]
-    if len(kb) > 1:
-        v1, v2 = kb[0], kb[1]
-        for lam in k0_elems:
-            yield tuple(
-                scalars.add(b, scalars.mul(lam, a)) for a, b in zip(v1, v2)
-            )
 
 
 def factor_with_l_coeffs(f):

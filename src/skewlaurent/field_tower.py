@@ -10,33 +10,33 @@ Two concrete families are provided:
   infinite order and fixed field Q.
 
 Elements are exact.  A finite-field element is a packed int, and its
-context binds one set of operations at construction, chosen by the
-field size q.  Fields of at most _TABLE_LIMIT elements pack the
-coefficients in base p and compute on exp/log/Zech tables
-(``linalg.ZechScalars``), where sigma^j permutes the logs.  When x
-generates the multiplicative group, as it does for the Conway moduli,
-the tables are the powers of x walked on those base-p ints (a digit
-shift less a multiple of the modulus), and the walk also proves the
-modulus irreducible; otherwise Rabin's test and a walk over the powers
-of another generator run on the packed kernel.  Larger fields compute
-on that kernel itself (``packed``): coefficients one per bit (p = 2) or
-one per byte-aligned slot (odd p), big-int products, extended-Euclid
-inverses, and sigma^j as a precomputed GF(p)-linear map.  A Q(t)
+context binds one set of operations at construction.  A field of at
+most _TABLE_LIMIT elements whose x generates the multiplicative group,
+as it does for the Conway moduli, packs the coefficients in base p and
+computes on exp/log/Zech tables (``linalg.ZechScalars``), where sigma^j
+permutes the logs: the tables are the powers of x walked on those
+base-p ints (a digit shift less a multiple of the modulus), and the
+walk also proves the modulus irreducible.  Every other field, larger
+or with x not primitive, passes Rabin's test and computes on the
+packed kernel (``packed``): coefficients one per bit (p = 2) or one per
+byte-aligned slot (odd p), big-int products, extended-Euclid inverses,
+and sigma^j as a precomputed GF(p)-linear map.  A Q(t)
 element is a pair n/d of integer-coefficient polynomials, coprime over
 Q[t], with joint integer content 1 and a positive leading coefficient
 of d.  Q(t) arithmetic is fraction-free: gcds over Z[t] run a primitive
 pseudo-remainder sequence and each result is normalised once.
 
-The finite-field context also does k0-linear algebra, over k0 = GF(p^d)
-as small ints (see ``linalg``), and the module hosts the order-4
-subspace context used by the decomposition engine: the image L of
-sigma - 1, the line k1 = {z : sigma(z) = -z} and the plane
-k2 = {z : sigma^2(z) = -z}.  Per coefficient, the order-4 route needs
-only the trace to k0, Tr = sum of the bound sigma maps (L = ker Tr, by
-additive Hilbert 90; the L-pair step solves with it in closed form, see
-``decompose.l_pair_step``), and the preimage under sigma - 1, one
-GF(p)-linear map on raw values built once per context from a single
-elimination over k0 and checked by sigma(z) - z == c.
+The finite-field context also gives k0-coordinates, over k0 = GF(p^d)
+as small ints, against the normal basis, and the module hosts the
+order-4 subspace context used by the decomposition engine: the image L
+of sigma - 1, the line k1 = {z : sigma(z) = -z} and the plane
+k2 = {z : sigma^2(z) = -z}.  The order-4 route needs only field
+arithmetic: the trace to k0, Tr = sum of the bound sigma maps (L = ker
+Tr, by additive Hilbert 90; the L-pair factorisation and step solve with
+it in closed form, see ``decompose``), and the preimage under
+sigma - 1, one GF(p)-linear map on raw values built once per context,
+from partial traces of the normal-basis element when d > 1 and one
+elimination over GF(p) when d = 1, and checked by sigma(z) - z == c.
 """
 
 from __future__ import annotations
@@ -119,23 +119,6 @@ def _prime_factors(n):
 def _kernel(p, m, mod, maps=1):
     """The packed arithmetic of GF(p)[x]/(mod); maps sizes PackedGF2's linear maps."""
     return PackedGF2(m, mod, maps) if p == 2 else PackedOddField(p, m, mod)
-
-
-def _log_tables(p, q, candidates, mul, add, pow_, index):
-    """``ZechScalars`` for GF(q), q = p^d, from its arithmetic in another form.
-
-    The generator is the first of the nonzero candidates whose power
-    (q-1)/r is not 1 for any prime r dividing q - 1 (1 stands for one).
-    Its powers are walked with mul, 1 + g^i is taken with add, and index
-    gives the int that stands for each element in the tables.
-    """
-    qm1 = q - 1
-    fac = _prime_factors(qm1)
-    gen = next(g for g in candidates if all(pow_(g, qm1 // r) != 1 for r in fac))
-    powers = [1]
-    for _ in range(qm1 - 1):
-        powers.append(mul(powers[-1], gen))
-    return ZechScalars(p, [index(v) for v in powers], [index(add(1, v)) for v in powers])
 
 
 def _x_tables(p, m, mod):
@@ -284,9 +267,9 @@ class FieldCtx:
 
     Subclasses provide element arithmetic, ``sigma`` and the seam of the
     series kernels.  The structure that needs sigma of finite order (the
-    k0-linear algebra, the trace to k0 and the order-4 context) lives on
-    ``FiniteFieldCtx``; here ``k0_vec``, ``k0_scalars`` and
-    ``build_order4_ctx`` raise InfiniteOrder.
+    k0-coordinates, the trace to k0 and the order-4 context) lives on
+    ``FiniteFieldCtx``; here ``k0_vec`` and ``build_order4_ctx`` raise
+    InfiniteOrder.
     """
 
     sigma_order = None  # int for finite order, None for infinite
@@ -426,13 +409,10 @@ class FieldCtx:
             )
         return self._normal_basis_elem()
 
-    # -- k0-linear algebra ------------------------------------------------
+    # -- k0-coordinates ------------------------------------------------------
 
     def k0_vec(self, a):
         """Coordinates of a over k0 as a tuple of k0 scalars."""
-        raise InfiniteOrder("k0-linear algebra requires finite sigma order")
-
-    def k0_scalars(self):
         raise InfiniteOrder("k0-linear algebra requires finite sigma order")
 
     def build_order4_ctx(self):
@@ -533,20 +513,21 @@ class FFElem:
 class FiniteFieldCtx(FieldCtx):
     """GF(p^m) with sigma = Frobenius^e.
 
-    One seam with two implementations, selected by q: the constructor
-    binds _add, _neg, _mul, _inv, _pow and one callable per power of
-    sigma, and nothing else branches on the backend.  Up to _TABLE_LIMIT
-    elements an element is its base-p packed coefficient vector, the
-    operations are those of a ``ZechScalars`` (exp/log/Zech tables: the
-    powers of x walked on base-p ints when x is primitive, else those of
-    another generator walked with the packed kernel), and sigma^j is a
-    permutation table, g^i -> g^(i*p^(e*j)).  Larger
-    fields bind the packed kernel's operations: ``PackedGF2`` (bit-packed,
-    XOR sums, shift-XOR products) for p = 2 and ``PackedOddField``
+    One seam with two implementations: the constructor binds _add, _neg,
+    _mul, _inv, _pow and one callable per power of sigma, and nothing
+    else branches on the backend.  A field of at most _TABLE_LIMIT
+    elements whose x is primitive has an element as its base-p packed
+    coefficient vector, the operations of a ``ZechScalars`` (exp/log/Zech
+    tables, the powers of x walked on base-p ints), and sigma^j as a
+    permutation table, g^i -> g^(i*p^(e*j)).  Every other field binds the
+    packed kernel's operations: ``PackedGF2`` (bit-packed, XOR sums,
+    shift-XOR products) for p = 2 and ``PackedOddField``
     (Kronecker-packed) for odd p.  Both invert by the extended Euclidean
     algorithm and apply sigma^j as a precomputed GF(p)-linear map on the
     coefficients.  The tables stay for the small fields because lookups
-    are cheaper there than the kernel's products and inverses.
+    are cheaper there than the kernel's products and inverses.  Elements,
+    texts and the seeded searches are defined on base-p digits, so a
+    field gives the same certificates on either backend.
 
     A ``PackedOddField`` context with one-byte kernel slots (m*(p-1)^2 <
     256) also binds _wide, the kernel's ``wide``: for a sum of up to k
@@ -564,12 +545,13 @@ class FiniteFieldCtx(FieldCtx):
     reaches the width, as on GF(2^20)/frob, nearly every row is a fresh
     sigma image, lifted for a single pair.
 
-    The k0-linear algebra runs over k0 = GF(p^d), d = gcd(m, e), as small
-    ints: residues mod p when d = 1, ``ZechScalars`` otherwise, where the
-    int with base-p digits c_0, ..., c_(d-1) stands for sum_j c_j*beta_j
-    over the GF(p)-basis beta of k0 that also orders k0_scalar_elements().
-    k0_vec is one precomputed GF(p) matrix applied to the coefficients,
-    a big-int combination of its packed columns (``slot_codec``).  The
+    The k0-coordinates are over k0 = GF(p^d), d = gcd(m, e), as small
+    ints: the digits when d = 1, and otherwise, against the normal basis,
+    ints whose base-p digits c_0, ..., c_(d-1) stand for sum_j c_j*beta_j
+    over the GF(p)-basis beta of k0 that also orders k0_scalar_elements()
+    (see k0_scalar_to_elem).  Then k0_vec is one precomputed GF(p) matrix
+    applied to the coefficients, a big-int combination of its packed
+    columns (``slot_codec``).  The
     trace to k0, ``k0_trace``, sums the bound sigma maps, and the order-4
     subspace tests go through it or sigma.  _linear(images) makes the
     GF(p)-linear map with the images of 1, g, ..., g^(m-1), such as the
@@ -610,16 +592,13 @@ class FiniteFieldCtx(FieldCtx):
         self._gen_value = p
         self._k0 = None
         self._sig_minus_one = None
-        # A table field whose x is primitive needs no kernel and no Rabin test.
+        # A table field's walk over the powers of x also proves the modulus
+        # irreducible; every other field runs Rabin's test on the kernel.
         ops = _x_tables(p, m, modulus) if q <= _TABLE_LIMIT else None
         if ops is None:
-            kern = _kernel(p, m, modulus, self.sigma_order)
-            if not _is_irreducible(modulus, p, kern):
+            ops = _kernel(p, m, modulus, self.sigma_order)
+            if not _is_irreducible(modulus, p, ops):
                 raise FieldSpecError(f"modulus {list(modulus)} is reducible over GF({p})")
-            ops = kern
-            if q <= _TABLE_LIMIT:
-                candidates = map(kern.from_base_p, itertools.chain(range(p, q), range(2, p)))
-                ops = _log_tables(p, q, candidates, kern.mul, kern.add, kern.pow, kern.to_base_p)
         self._bind_backend(ops)
 
     # -- representation helpers ------------------------------------------
@@ -644,11 +623,12 @@ class FiniteFieldCtx(FieldCtx):
         return v
 
     def _bind_backend(self, ops):
-        """Bind the operations and sigma^j maps of ops, the backend q selects:
-        a ``ZechScalars`` up to _TABLE_LIMIT elements, else the packed kernel."""
-        p, q = self.p, self.q
+        """Bind the operations and sigma^j maps of ops: the ``ZechScalars``
+        of a table field, else the packed kernel."""
+        p = self.p
         step = p**self.e  # sigma(a) = a^step
-        if q <= _TABLE_LIMIT:
+        tables = isinstance(ops, ZechScalars)
+        if tables:
             sig1 = ops.power_table(step)
             maps = [None, sig1.__getitem__]
             tab = sig1
@@ -675,7 +655,7 @@ class FiniteFieldCtx(FieldCtx):
         # delayed sums on one-byte kernel slots only (see the class docstring)
         self._wide = ops.wide if isinstance(ops, PackedOddField) and ops.shift == 8 else None
         self._sig_maps = maps
-        if q <= _TABLE_LIMIT:
+        if tables:
             self._linear = partial(_base_p_linear, p, self.m, self._add)
         else:
             self._linear = ops.linear
@@ -867,33 +847,23 @@ class FiniteFieldCtx(FieldCtx):
         return [FFElem(self, values[self.p**j]) for j in range(self.subfield_degree)]
 
     def k0_scalar_elements(self):
-        """All scalars of k0, in a fixed order, as k0_scalars() values."""
+        """All scalars of k0, in a fixed order, as the ints of k0_vec."""
         return list(range(len(self._k0_values())))
 
     def _k0_setup(self):
-        """(scalars, vec, units) behind k0_scalars and k0_vec, built once.
+        """(vec, units) behind k0_vec for d > 1, built once.
 
-        For d > 1, vec takes the digits of an element to its m/d
-        k0-coordinates: it inverts the GF(p)-linear map that takes the
-        digits c_(i*d+j) to sum c_(i*d+j)*beta_j*sigma^i(y), y the
-        normal-basis element, as one big-int combination of the packed
-        columns of the inverse (see slot_codec), scalar i having base-p
-        digits i*d, ..., i*d + d - 1 of the combination.  units[j] is the
-        coordinates of g^j, read off column j alone.  The scalar tables
-        come from a generator of the multiplicative group of k0.  vec and
-        units are None for d = 1, where the coordinates are the digits.
+        vec takes the digits of an element to its m/d k0-coordinates: it
+        inverts the GF(p)-linear map that takes the digits c_(i*d+j) to
+        sum c_(i*d+j)*beta_j*sigma^i(y), y the normal-basis element, as one
+        big-int combination of the packed columns of the inverse (see
+        slot_codec), scalar i having base-p digits i*d, ..., i*d + d - 1 of
+        the combination.  units[j] is the coordinates of g^j, read off
+        column j alone.
         """
         if self._k0 is not None:
             return self._k0
         p, m, d = self.p, self.m, self.subfield_degree
-        if d == 1:
-            self._k0 = (ModPScalars(p), None, None)
-            return self._k0
-        elems = self._k0_values()
-        pos = {v: c for c, v in enumerate(elems)}
-        scalars = _log_tables(
-            p, len(elems), elems[1:], self._mul, self._add, self._pow, pos.__getitem__
-        )
         cols = self._conjugate_digits(self._normal_basis_elem())
         inv = invert_matrix(list(zip(*cols)), ModPScalars(p))
         _, split, join = slot_codec(p, m)
@@ -907,7 +877,7 @@ class FiniteFieldCtx(FieldCtx):
         def vec(digits):  # no reference to the context: it holds vec
             return coords(sum(map(mul, digits, packed)))
 
-        self._k0 = (scalars, vec, [coords(col) for col in packed])
+        self._k0 = (vec, [coords(col) for col in packed])
         return self._k0
 
     def _conjugate_digits(self, y):
@@ -938,10 +908,7 @@ class FiniteFieldCtx(FieldCtx):
     def k0_vec(self, a):
         if self.subfield_degree == 1:
             return self._digits(a.value)
-        return self._k0_setup()[1](self._digits(a.value))
-
-    def k0_scalars(self):
-        return self._k0_setup()[0]
+        return self._k0_setup()[0](self._digits(a.value))
 
     def k0_vec_basis(self):
         if self.subfield_degree == 1:
@@ -963,44 +930,46 @@ class FiniteFieldCtx(FieldCtx):
 
         The solution of sigma(z) - z = c over k0 against k0_vec_basis(),
         its free coordinates zero, is k0-linear in c: one GF(p)-linear map,
-        _linear of the images of 1, g, ..., g^(m-1), all read off one
-        elimination (pivot_rows).  For d = 1 the coordinates are the digits
-        and the basis the powers of g, so the image of g^j is column j of
-        the rows placed at the pivots.  For d > 1 the image of basis
-        element i combines the basis at the pivots by the rows' entries i,
-        and the image of g^j combines those by the coordinates of g^j,
-        column j of the inverse that k0_vec applies (_k0_setup).  The map
-        is defined on all of k; z solves the equation exactly when c lies
-        in L = Im(sigma - 1), which sigma(z) - z == c checks (NotInL
-        otherwise).
+        _linear of the images of 1, g, ..., g^(m-1).  For d = 1 the
+        coordinates are the digits and the basis the powers of g, and one
+        elimination over GF(p) (pivot_rows) on the digits of
+        sigma(g^j) - g^j places its rows at the pivots: the image of g^j
+        is column j of them.  For d > 1, against the conjugates sigma^i(y)
+        of the normal-basis element, sigma - 1 is the cyclic shift less
+        the identity, whose echelon form has pivots 0, ..., n - 2 and the
+        last coordinate free: the solution takes sigma^i(y) to the partial
+        trace y + ... + sigma^(i-1)(y) (on L, where the coordinates of c
+        sum to zero), and the image of g^j combines the partial traces by
+        the coordinates of g^j, column j of the inverse that k0_vec
+        applies (_k0_setup).  The map is defined on all of k; z solves the
+        equation exactly when c lies in L = Im(sigma - 1), which
+        sigma(z) - z == c checks (NotInL otherwise).
         """
         if self._sig_minus_one is not None:
             return self._sig_minus_one
         m = self.m
         sig, add, neg = self._sig_maps[1], self._add, self._neg
-        basis = self.k0_vec_basis()
-        scalars = self.k0_scalars()
-        pivots, rows = pivot_rows([self.k0_vec(self.sigma(b, 1) - b) for b in basis], scalars)
+        basis = self._unwrap(self.k0_vec_basis())
         images = []
         if self.subfield_degree == 1:
+            cols = [self._digits(add(sig(v), neg(v))) for v in basis]
+            pivots, rows = pivot_rows(cols, ModPScalars(self.p))
             for j in range(m):
                 ds = [0] * m
                 for c, row in zip(pivots, rows):
                     ds[c] = row[j]
                 images.append(self._pack(ds))
         else:
-            k0, ys, mul_ = self._k0_values(), self._unwrap(basis), self._mul
-
-            def combine(xs, vs):  # sum of k0[x]*v, on raw values
+            k0, mul_ = self._k0_values(), self._mul
+            partials = [0]  # partials[i]: y + ... + sigma^(i-1)(y)
+            for v in basis[:-1]:
+                partials.append(add(partials[-1], v))
+            for xs in self._k0_setup()[1]:  # the coordinates of g^j
                 z = 0
-                for x, v in zip(xs, vs):
+                for x, v in zip(xs, partials):
                     if x:
                         z = add(z, mul_(k0[x], v))
-                return z
-
-            at_pivots = [ys[c] for c in pivots]
-            solved = [combine([row[i] for row in rows], at_pivots) for i in range(len(ys))]
-            images = [combine(v, solved) for v in self._k0_setup()[2]]
+                images.append(z)
         lin = self._linear(images)
 
         def preimage(c):  # no reference to the context: it holds preimage

@@ -4,9 +4,11 @@ Gaussian elimination is generic over a scalar adapter (zero, one, add,
 sub, mul, neg, inv): ``ModPScalars`` for GF(p) as residues and
 ``ZechScalars`` for GF(p^d) as ints on exp/log/Zech tables.  Both stand
 for zero by the int 0 alone, so elimination tests a scalar for zero by its
-truth value.  The field contexts use these for the k0-linear algebra, and
-``ZechScalars`` (with its ``pow``) is also the arithmetic of every finite
-field small enough for tables.
+truth value.  The field contexts eliminate over GF(p) alone: the
+subfield k0, the normal-basis test and its inverse matrix, and the
+sigma - 1 map where k0 = GF(p).  ``ZechScalars`` (with its ``pow``) is
+the arithmetic of the table fields; the tests also eliminate over k0 on
+it, as the oracle of the closed forms the order-4 set-up uses.
 """
 
 from __future__ import annotations

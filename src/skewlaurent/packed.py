@@ -1,9 +1,10 @@
 """Packed arithmetic in GF(p^m) = GF(p)[x]/(f).
 
-Fields past the table limit compute on it.  Rabin's test runs on it, in
-the default-modulus search and for every modulus that a table field's
-walk over the powers of x does not prove irreducible; such a table field
-also walks the powers of another generator with it for its Zech tables.
+Every field without Zech tables computes on it: those past the table
+limit, and those within it whose modulus leaves x non-primitive, where
+the walk over the powers of x gives no tables.  Rabin's test runs on it,
+in the default-modulus search and for every modulus that such a walk
+does not prove irreducible.
 
 An element is one Python int holding its m coefficients over GF(p):
 
@@ -195,9 +196,6 @@ class PackedGF2(PackedField):
     def from_base_p(self, v):
         return v
 
-    def to_base_p(self, v):
-        return v
-
     def linear(self, images):
         """v -> XOR of images[i] over the set bits i of v."""
         c = self._chunk
@@ -346,12 +344,6 @@ class PackedOddField(PackedField):
             v, d = divmod(v, self.p)
             ds.append(d)
         return self._join(ds)
-
-    def to_base_p(self, v):
-        out = 0
-        for d in reversed(self._split(v, self.m)):
-            out = out * self.p + d
-        return out
 
     def linear(self, images):
         """v -> sum of digit_i(v) * images[i], reduced."""

@@ -1,8 +1,11 @@
+from itertools import chain
+
 import pytest
 
-from skewlaurent.errors import NotInL, SkewLaurentError
-from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx
-from skewlaurent.linalg import rank_of_vectors, rref
+from skewlaurent.decompose import _l_pair_ok
+from skewlaurent.errors import DecompositionError, NotInL, SkewLaurentError
+from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx, _kernel, _prime_factors
+from skewlaurent.linalg import ModPScalars, ZechScalars, kernel_from_columns, rank_of_vectors, rref
 from skewlaurent.skew_series import SkewSeries
 
 
@@ -85,9 +88,60 @@ def sigma_degree(ctx, a, cap):
     return None
 
 
+# ---------------------------------------------------------------------------
+# Zech tables by a generator walk, and the k0-linear algebra over k0
+# scalars: the oracles of the table fields' walk over x, of the fields that
+# run on the packed kernel instead, and of the closed forms the library uses
+# for the order-4 set-up.
+
+
+def log_tables(p, q, candidates, mul, add, pow_, index):
+    """``ZechScalars`` for GF(q), q = p^d, from its arithmetic in another form.
+
+    The generator is the first of the nonzero candidates whose power
+    (q-1)/r is not 1 for any prime r dividing q - 1 (1 stands for one).
+    Its powers are walked with mul, 1 + g^i is taken with add, and index
+    gives the int that stands for each element in the tables.
+    """
+    qm1 = q - 1
+    fac = _prime_factors(qm1)
+    gen = next(g for g in candidates if all(pow_(g, qm1 // r) != 1 for r in fac))
+    powers = [1]
+    for _ in range(qm1 - 1):
+        powers.append(mul(powers[-1], gen))
+    return ZechScalars(p, [index(v) for v in powers], [index(add(1, v)) for v in powers])
+
+
+def kernel_walk_tables(p, m, mod):
+    """The Zech tables of GF(p)[x]/(mod) on base-p ints, walked over the
+    packed kernel from the first generator in base-p order past GF(p)."""
+    q = p**m
+    kern = _kernel(p, m, mod)
+
+    def to_base_p(v):
+        out = 0
+        for d in reversed(kern.digits(v)):
+            out = out * p + d
+        return out
+
+    candidates = map(kern.from_base_p, chain(range(p, q), range(2, p)))
+    return log_tables(p, q, candidates, kern.mul, kern.add, kern.pow, to_base_p)
+
+
+def k0_scalars(ctx):
+    """The scalar arithmetic of k0 on the ints of ctx.k0_vec: residues mod
+    p when d = 1, else Zech tables walked over the k0 elements, the int c
+    standing for ctx.k0_scalar_to_elem(c)."""
+    if ctx.subfield_degree == 1:
+        return ModPScalars(ctx.p)
+    elems = [ctx.k0_scalar_to_elem(c).value for c in ctx.k0_scalar_elements()]
+    pos = {v: c for c, v in enumerate(elems)}
+    return log_tables(ctx.p, len(elems), elems[1:], ctx._mul, ctx._add, ctx._pow, pos.__getitem__)
+
+
 def k0_rank(ctx, elems):
     """Dimension of the k0-span of elems."""
-    return rank_of_vectors([ctx.k0_vec(a) for a in elems], ctx.k0_scalars())
+    return rank_of_vectors([ctx.k0_vec(a) for a in elems], k0_scalars(ctx))
 
 
 def k0_independent(ctx, elems):
@@ -139,9 +193,8 @@ class NotInSpan(SkewLaurentError):
 
 def coords(ctx, a, basis):
     """Coordinates of a against a k0-independent basis, or NotInSpan."""
-    scalars = ctx.k0_scalars()
     cols = [ctx.k0_vec(b) for b in basis]
-    sol = particular_solver(cols, scalars)(ctx.k0_vec(a))
+    sol = particular_solver(cols, k0_scalars(ctx))(ctx.k0_vec(a))
     if sol is None:
         raise NotInSpan("element is not in the k0-span of the given basis")
     return sol
@@ -171,7 +224,7 @@ def l_pair_oracle(o4, a0, b0, t, acc):
     ctx = o4.ctx
     s = ctx.sigma(b0, t % 4)
     cols = [ctx.k0_vec(a0 * l) for l in o4.l_basis] + [ctx.k0_vec(l * s) for l in o4.l_basis]
-    sol = particular_solver(cols, ctx.k0_scalars())(ctx.k0_vec(acc))
+    sol = particular_solver(cols, k0_scalars(ctx))(ctx.k0_vec(acc))
     if sol is None:
         return None
     return from_l_coords(o4, sol[3:]), from_l_coords(o4, sol[:3])
@@ -181,7 +234,7 @@ def sigma_minus_one_oracle(ctx):
     """c -> z with sigma(z) - z = c by elimination over k0 against
     ctx.k0_vec_basis(), free coordinates zero; None for c outside L."""
     basis = ctx.k0_vec_basis()
-    solve = particular_solver([ctx.k0_vec(ctx.sigma(b, 1) - b) for b in basis], ctx.k0_scalars())
+    solve = particular_solver([ctx.k0_vec(ctx.sigma(b, 1) - b) for b in basis], k0_scalars(ctx))
 
     def preimage(c):
         sol = solve(ctx.k0_vec(c))
@@ -193,6 +246,43 @@ def sigma_minus_one_oracle(ctx):
         return out
 
     return preimage
+
+
+def l_pair_elimination_oracle(o4, c):
+    """factor_into_l_pair by elimination over k0, for c outside k1 and
+    nonzero: (a, b) and the kind of c, "sigma2-fixed" when sigma^2 fixes
+    it, else "t1 != 0" or "t1 = 0" by the trace t1 = Tr(c*e2).
+
+    The candidates z = x0*e2 + x1*sigma(e2) are one per k0-line of the
+    kernel: of the 1x2 system of the first k0-coordinates of Tr(c*e2) and
+    Tr(c*sigma(e2)), or of all of k0^2 for sigma^2-fixed c, in the
+    echelon basis's order: its first vector, then the second plus lam
+    times the first for every scalar lam in k0_scalar_elements() order.
+    """
+    ctx = o4.ctx
+    e2, se2 = o4.k2_basis
+    scalars = k0_scalars(ctx)
+    fixed = ctx.sigma(c, 2) == c
+    if fixed:
+        kind = "sigma2-fixed"
+        basis = [(scalars.one, scalars.zero), (scalars.zero, scalars.one)]
+    else:
+        cols = [(ctx.k0_vec(ctx.k0_trace(c * b))[0],) for b in (e2, se2)]
+        kind = "t1 != 0" if cols[0][0] else "t1 = 0"
+        basis = kernel_from_columns(cols, scalars)
+    lines = basis[:1]
+    if len(basis) > 1:
+        v1, v2 = basis
+        for lam in ctx.k0_scalar_elements():
+            lines.append([scalars.add(b, scalars.mul(lam, a)) for a, b in zip(v1, v2)])
+    for x0, x1 in lines:
+        z = ctx.k0_scalar_to_elem(x0) * e2 + ctx.k0_scalar_to_elem(x1) * se2
+        if not z:
+            continue
+        a, b = (z, z.inverse() * c) if fixed else (z.inverse(), c * z)
+        if _l_pair_ok(o4, a, b, c):
+            return (a, b), kind
+    raise DecompositionError("no valid L-pair factorisation was found")
 
 
 # Polynomials over GF(p) as digit tuples, ascending degree, trailing zeros

@@ -959,7 +959,7 @@ def test_cli_rejects_bad_moduli_with_unchanged_messages():
 
 def test_cli_round_trip_when_x_is_not_primitive():
     # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5 in GF(16),
-    # so the Zech tables come from the generator walk over the packed kernel
+    # so the field has no Zech tables and runs on the packed kernel
     assert _x_tables(2, 4, (1, 1, 1, 1, 1)) is None
     field = "gf(2^4);poly=1,1,1,1,1"
     for text in ("x^2 + (g)*x^3 + x^7 + O(x^12)", "(g^3+1)*x + (g)*x^2 + x^5 + O(x^14)"):

@@ -41,7 +41,13 @@ from skewlaurent.errors import (
 from skewlaurent.field_tower import FFElem, FiniteFieldCtx
 from skewlaurent.skew_series import SkewSeries, commutator, from_terms, term, zero
 
-from conftest import k0_independent, l_pair_oracle, nonzero_elem, random_series
+from conftest import (
+    k0_independent,
+    l_pair_elimination_oracle,
+    l_pair_oracle,
+    nonzero_elem,
+    random_series,
+)
 
 # the module: the package re-exports the function decompose under its name
 decompose_module = importlib.import_module("skewlaurent.decompose")
@@ -258,6 +264,43 @@ def test_factor_into_l_pair_postconditions(gf34):
             assert k0_independent(gf34, [a, gf34.sigma(b, i)])
         checked += 1
     assert checked == 78  # 81 elements minus zero minus the 2 nonzero k1 elements
+
+
+# name -> (p, m, Frobenius power, modulus or None for the default)
+L_PAIR_FIELDS = {
+    "gf34": (3, 4, 1, None),
+    "gf24": (2, 4, 1, None),
+    "gf28/frob2": (2, 8, 2, None),
+    "gf54": (5, 4, 1, None),  # x is not primitive: the packed kernel
+    "gf58/frob2": (5, 8, 2, (3, 2, 1, 0, 0, 0, 0, 0, 1)),
+    "gf312/frob3": (3, 12, 3, (2, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(L_PAIR_FIELDS))
+def test_factor_into_l_pair_matches_elimination(name):
+    # the closed form picks the L-pair that elimination over k0 picks: on
+    # every nonzero c outside k1 of the fields up to 625 elements, and on
+    # 300 seeded c of the larger ones
+    p, m, e, mod = L_PAIR_FIELDS[name]
+    ctx = FiniteFieldCtx(p, m, frob_power=e, modulus=mod)
+    o4 = ctx.build_order4_ctx()
+    if ctx.q <= 625:
+        cs = list(ctx.elements())
+    else:
+        rng = random.Random(f"l-pair:{name}")
+        cs = [ctx.random_elem(rng) for _ in range(300)]
+    kinds = Counter()
+    for c in cs:
+        if not c or o4.in_k1(c):
+            continue
+        want, kind = l_pair_elimination_oracle(o4, c)
+        assert factor_into_l_pair(o4, c) == want, c
+        kinds[kind] += 1
+    if ctx.q <= 625:  # each case of the closed form occurs
+        assert set(kinds) == {"t1 != 0", "t1 = 0", "sigma2-fixed"}, kinds
+    if name == "gf34":
+        assert kinds == Counter({"t1 != 0": 54, "t1 = 0": 18, "sigma2-fixed": 6})
 
 
 def test_factor_with_l_coeffs(gf34, gf24, gf58):

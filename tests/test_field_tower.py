@@ -4,7 +4,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import gcd
 from operator import add, mul, sub
 
@@ -23,7 +23,6 @@ from skewlaurent.field_tower import (
     _STANDARD_POLYS,
     _is_irreducible,
     _kernel,
-    _log_tables,
     _prime_factors,
     _x_tables,
     _zgcd,
@@ -31,6 +30,8 @@ from skewlaurent.field_tower import (
     RationalFunctionCtx,
     default_modulus,
 )
+from skewlaurent.linalg import ZechScalars
+from skewlaurent.packed import PackedField
 from skewlaurent.skew_series import from_terms
 
 from conftest import (
@@ -38,6 +39,8 @@ from conftest import (
     coords,
     k0_independent,
     k0_rank,
+    k0_scalars,
+    kernel_walk_tables,
     l_coords,
     nonzero_elem,
     particular_solver,
@@ -273,7 +276,7 @@ def test_coords_and_solver(gf34):
             rebuilt = rebuilt + gf34.k0_scalar_to_elem(c) * b
         assert rebuilt == a
     # inconsistent single-column system
-    solve = particular_solver([gf34.k0_vec(o4.e2)], gf34.k0_scalars())
+    solve = particular_solver([gf34.k0_vec(o4.e2)], k0_scalars(gf34))
     assert solve(gf34.k0_vec(o4.y)) is None
 
 
@@ -290,14 +293,20 @@ def test_sigma_minus_one_preimage(gf34, gf25):
         gf34.sigma_minus_one_preimage(o4.y)
 
 
-@pytest.mark.parametrize("name", ["gf34", "gf24", "gf28_frob2", "gf58", "gf312"])
+@pytest.mark.parametrize(
+    "name", ["gf34", "gf24", "gf28_frob2", "gf54", "gf212_frob3", "gf58", "gf312"]
+)
 def test_sigma_minus_one_preimage_is_the_particular_solution(name, request):
     # the precomputed map gives the solution that elimination over k0 gives
     # on every element of L and raises NotInL off L: on every element of the
-    # table fields, and on 500 seeded elements of the packed ones plus 500
-    # of their L
+    # fields up to 256 elements, and on 500 seeded elements of the larger
+    # ones plus 500 of their L
     if name == "gf28_frob2":
         ctx = FiniteFieldCtx(2, 8, frob_power=2)  # a table field with k0 = GF(4)
+    elif name == "gf54":
+        ctx = FiniteFieldCtx(5, 4)  # k0 = GF(5), on the packed kernel
+    elif name == "gf212_frob3":
+        ctx = FiniteFieldCtx(2, 12, frob_power=3)  # k0 = GF(8), on the packed kernel
     else:
         ctx = request.getfixturevalue(name)
     oracle = sigma_minus_one_oracle(ctx)
@@ -781,38 +790,47 @@ def test_x_tables_exist_only_for_irreducible_moduli_with_primitive_x():
         assert (tables is not None) == primitive, (p, f)
 
 
-def _kernel_walk_tables(p, m, mod):
-    """The Zech tables of GF(p)[x]/(mod) walked over the packed kernel."""
-    q = p**m
-    kern = _kernel(p, m, mod)
-    candidates = map(kern.from_base_p, chain(range(p, q), range(2, p)))
-    return _log_tables(p, q, candidates, kern.mul, kern.add, kern.pow, kern.to_base_p)
-
-
 def test_table_fields_match_the_kernel_walk():
-    # every table field with p <= 7 and q <= 2^12 under its default
-    # modulus, whether x is primitive or the build falls back: the exp,
-    # log and Zech lists and every sigma^j map equal those of the
-    # generator walk over the packed kernel, sigma^j by powers of sigma
+    # every field with p <= 7 and q <= 2^12 under its default modulus
+    # matches the generator walk over the packed kernel.  Where x is
+    # primitive the field binds Zech tables, and their exp, log and Zech
+    # lists equal the walk's; where it is not, the field binds the packed
+    # kernel, and its products by the walk's generator and its inverses
+    # (with associativity these fix every product) match the walk's
+    # tables on every element.  Either way every sigma^j map equals the
+    # walk's powers of sigma.  Elements are matched by their base-p digits.
     fallbacks = []
     for p, top in ((2, 12), (3, 7), (5, 5), (7, 4)):
         for m in range(2, top + 1):
             q = p**m
             mod = default_modulus(p, m)
-            ref = _kernel_walk_tables(p, m, mod)
+            ref = kernel_walk_tables(p, m, mod)
             if _x_tables(p, m, mod) is None:
                 fallbacks.append((p, m))
+            gen = ref._exp[1]
             for e in range(1, m):
                 ctx = FiniteFieldCtx(p, m, frob_power=e)
                 ops = ctx._mul.__self__
-                assert ops._exp == ref._exp, (p, m, e)
-                assert ops._log == ref._log, (p, m, e)
-                assert ops._log1p == ref._log1p, (p, m, e)
+                values = [a.value for a in ctx.elements()]  # values[i] has the digits of i
+                if (p, m) in fallbacks:
+                    assert isinstance(ops, PackedField), (p, m, e)
+                    index = {v: i for i, v in enumerate(values)}
+                    times_gen = [index[ctx._mul(v, values[gen])] for v in values]
+                    assert times_gen == [ref.mul(i, gen) for i in range(q)], (p, m, e)
+                    inverses = [index[ctx._inv(v)] for v in values[1:]]
+                    assert inverses == [ref.inv(i) for i in range(1, q)], (p, m, e)
+                else:
+                    assert isinstance(ops, ZechScalars), (p, m, e)
+                    assert values == list(range(q)), (p, m, e)
+                    assert ops._exp == ref._exp, (p, m, e)
+                    assert ops._log == ref._log, (p, m, e)
+                    assert ops._log1p == ref._log1p, (p, m, e)
                 sig = [ref.pow(v, p**e) for v in range(q)]
                 tab = list(range(q))
                 for j in range(1, ctx.sigma_order):
                     tab = [sig[v] for v in tab]
-                    assert list(map(ctx._sig_maps[j], range(q))) == tab, (p, m, e, j)
+                    want = [values[v] for v in tab]
+                    assert list(map(ctx._sig_maps[j], values)) == want, (p, m, e, j)
     assert fallbacks == [(2, 9), (2, 12), (3, 7), (5, 4), (5, 5), (7, 3), (7, 4)]
 
 

@@ -34,6 +34,9 @@ decompose_module = importlib.import_module("skewlaurent.decompose")
 # two fields whose packed slots need two bytes (m*(p-1)^2 >= 256): an
 # order-2 one and an order-4 one, both checked on samples past q = 256.
 FIELDS = [(2, 4, 1), (3, 4, 1), (2, 8, 1), (3, 5, 1), (2, 8, 2), (17, 2, 1), (11, 4, 1)]
+# Moduli other than the default, under which x is primitive, so that the
+# field binds Zech tables: x is not primitive under GF(17^2)'s default.
+MODULI = {(17, 2): (3, 1, 1)}
 EXHAUSTIVE_Q = 256
 # Table fields checked against the digit-tuple reference: every power of
 # the generator and every product.
@@ -43,10 +46,11 @@ REFERENCE_FIELDS = [(2, 4, 1), (3, 4, 1), (3, 5, 1), (2, 8, 2)]
 @pytest.fixture(scope="module", params=FIELDS, ids=lambda f: "gf({}^{})/frob^{}".format(*f))
 def backends(request):
     p, m, e = request.param
-    table = FiniteFieldCtx(p, m, frob_power=e)
+    mod = MODULI.get((p, m))
+    table = FiniteFieldCtx(p, m, frob_power=e, modulus=mod)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field_tower, "_TABLE_LIMIT", 1)
-        poly = FiniteFieldCtx(p, m, frob_power=e)
+        poly = FiniteFieldCtx(p, m, frob_power=e, modulus=mod)
     assert isinstance(table._mul.__self__, ZechScalars)
     assert isinstance(poly._mul.__self__, PackedField)
     t_elems, p_elems = list(table.elements()), list(poly.elements())
