@@ -20,7 +20,10 @@ walk also proves the modulus irreducible.  Every other field, larger
 or with x not primitive, passes Rabin's test and computes on the
 packed kernel (``packed``): coefficients one per bit (p = 2) or one per
 byte-aligned slot (odd p), big-int products, extended-Euclid inverses,
-and sigma^j as a precomputed GF(p)-linear map.  A Q(t)
+and sigma^j as a precomputed GF(p)-linear map.  A field named without a
+modulus takes a Conway polynomial from _STANDARD_POLYS or the first
+irreducible of a constant-first scan, which rejects candidates with a
+root in GF(p) before Rabin's test (``_search_irreducible``).  A Q(t)
 element is a pair n/d of integer-coefficient polynomials, coprime over
 Q[t], with joint integer content 1 and a positive leading coefficient
 of d.  Q(t) arithmetic is fraction-free: gcds over Z[t] run a primitive
@@ -37,11 +40,13 @@ it in closed form, see ``decompose``), and the preimage under
 sigma - 1, one GF(p)-linear map on raw values built once per context,
 from partial traces of the normal-basis element when d > 1 and one
 elimination over GF(p) when d = 1, and checked by sigma(z) - z == c.
+Every elimination (``linalg``, on packed rows over GF(p)) is set-up:
+the k0 basis, the normal-basis test, the inverse behind k0_vec and the
+d = 1 sigma - 1 map, each once per context.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -61,14 +66,7 @@ from .errors import (
     UnsupportedOrder,
     ZeroNotInvertible,
 )
-from .linalg import (
-    ModPScalars,
-    ZechScalars,
-    invert_matrix,
-    kernel_from_columns,
-    pivot_rows,
-    rank_of_vectors,
-)
+from .linalg import ZechScalars, invert_matrix, kernel_from_columns, pivot_rows, rank_of_vectors
 from .packed import PackedGF2, PackedOddField, slot_codec
 
 _TABLE_LIMIT = 1 << 16
@@ -187,13 +185,16 @@ def _base_p_linear(p, m, add, images):
 
 
 def _is_irreducible(mod, p, kern=None):
-    """Rabin's test for a monic polynomial f over GF(p).
+    """Rabin's test (Rabin, 1980) for a monic polynomial f over GF(p).
 
     f of degree m is irreducible iff x^(p^m) = x mod f and x^(p^(m/r)) - x
-    is a unit mod f for every prime r dividing m.  The powers and the
-    unit test (an extended Euclidean inverse) run in the packed
-    arithmetic of GF(p)[x]/(f), kern when given, which needs no
-    irreducibility.
+    is a unit mod f for every prime r dividing m.  The test runs in the
+    packed arithmetic of GF(p)[x]/(f), kern when given, which needs no
+    irreducibility.  The powers x^(p^i) are the iterates of the Frobenius
+    map v -> v^p, which is GF(p)-linear: one pow gives x^p, m - 2 products
+    its powers, the images of the basis 1, x, ..., x^(m-1), and kern.linear
+    makes the map from them, applied m times.  The unit test is an
+    extended Euclidean inverse.
     """
     m = len(mod) - 1
     if m < 1:
@@ -202,9 +203,14 @@ def _is_irreducible(mod, p, kern=None):
         return True
     if kern is None:
         kern = _kernel(p, m, mod)
+    x_p = kern.pow(kern.x, p)
+    images = [1, x_p]
+    for _ in range(m - 2):
+        images.append(kern.mul(images[-1], x_p))
+    frob_map = kern.linear(images)
     frob = [kern.x]  # frob[i] = x^(p^i) mod f
     for _ in range(m):
-        frob.append(kern.pow(frob[-1], p))
+        frob.append(frob_map(frob[-1]))
     if frob[m] != kern.x:
         return False
     try:
@@ -217,15 +223,35 @@ def _is_irreducible(mod, p, kern=None):
 
 def _search_irreducible(p, m):
     """First monic irreducible of degree m among the first _SEARCH_LIMIT
-    candidates, by lexicographic constant-first scan."""
-    for v in range(min(p**m, _SEARCH_LIMIT)):
-        cs, rem = [], v
-        for _ in range(m):
+    candidates, by lexicographic constant-first scan.
+
+    The candidates come in blocks of p that share every coefficient but
+    the constant c0.  For m >= 2, f = c0 + h has a root a in GF(p), and so
+    is reducible, exactly when c0 = -h(a); one evaluation of h at every a
+    per block (Horner's rule over the list of all a) lists those c0, and
+    only the others go through Rabin's test.  For p past _SEARCH_LIMIT
+    (up to 2^32) the scan stays in the first block and every candidate
+    goes through the test: an evaluation at all p points would grow with
+    p, and the test runs at most _SEARCH_LIMIT times.
+    """
+    count = min(p**m, _SEARCH_LIMIT)
+    filtered = m >= 2 and p <= _SEARCH_LIMIT
+    for block in range(-(-count // p)):
+        high, rem = [], block
+        for _ in range(m - 1):
             rem, d = divmod(rem, p)
-            cs.append(d)
-        cand = tuple(cs) + (1,)
-        if _is_irreducible(cand, p):
-            return cand
+            high.append(d)
+        high = tuple(high) + (1,)
+        rooted = ()
+        if filtered:
+            vals = [1] * p  # Horner's rule for h(a)/a = c1 + c2*a + ... + a^(m-1)
+            for c in reversed(high[:-1]):
+                vals = [(v * a + c) % p for a, v in enumerate(vals)]
+            rooted = {-v * a % p for a, v in enumerate(vals)}
+        for c0 in range(min(p, count - block * p)):
+            cand = (c0,) + high
+            if c0 not in rooted and _is_irreducible(cand, p):
+                return cand
     raise FieldSpecError(
         f"no irreducible polynomial of degree {m} over GF({p}) among the first "
         f"{_SEARCH_LIMIT} candidates; pass a modulus as ';poly=c0,c1,...'"
@@ -825,19 +851,17 @@ class FiniteFieldCtx(FieldCtx):
         if self.subfield_degree == 1:
             out = list(range(self.p))
         else:
-            mod_p = ModPScalars(self.p)
             cols = []
             for i in range(self.m):
                 b = self.elem([0] * i + [1])
                 cols.append(self._digits((self.sigma(b, 1) - b).value))
-            kb = kernel_from_columns(cols, mod_p)
-            out = []
-            for combo in itertools.product(range(self.p), repeat=len(kb)):
-                ds = [0] * self.m
-                for c, vec in zip(combo, kb):
-                    for idx, d in enumerate(vec):
-                        ds[idx] = (ds[idx] + c * d) % self.p
-                out.append(self._pack(ds))
+            add = self._add
+            out = [0]
+            for vec in reversed(kernel_from_columns(cols, self.p)):  # beta_0 first
+                beta, multiples = self._pack(vec), [0]
+                for _ in range(self.p - 1):
+                    multiples.append(add(multiples[-1], beta))
+                out = [add(t, u) for u in multiples for t in out]
         self._k0_value_list = out
         return out
 
@@ -865,9 +889,9 @@ class FiniteFieldCtx(FieldCtx):
             return self._k0
         p, m, d = self.p, self.m, self.subfield_degree
         cols = self._conjugate_digits(self._normal_basis_elem())
-        inv = invert_matrix(list(zip(*cols)), ModPScalars(p))
         _, split, join = slot_codec(p, m)
-        packed = [join(col) for col in zip(*inv)]
+        # the columns of the inverse are the rows of the transpose's inverse
+        packed = [join(row) for row in invert_matrix(cols, p)]
         pw = [p**j for j in range(d)]
 
         def coords(v):  # a GF(p)-combination of the columns, as k0 scalars
@@ -893,14 +917,13 @@ class FiniteFieldCtx(FieldCtx):
         if cached is not None:
             return FFElem(self, cached)
         rng = random.Random(f"{_WITNESS_SEED}:{self.field_spec()}:{self.sigma_spec()}")
-        mod_p = ModPScalars(self.p)
         for _ in range(256):
             y = self.random_elem(rng)
             if not y:
                 continue
             # y is normal iff its conjugates are k0-independent, iff the
             # beta_j*sigma^i(y) are GF(p)-independent
-            if rank_of_vectors(self._conjugate_digits(y), mod_p) == self.m:
+            if rank_of_vectors(self._conjugate_digits(y), self.p) == self.m:
                 self._normal_value = y.value
                 return y
         raise NoWitness("normal basis search exhausted its retry budget")
@@ -953,7 +976,7 @@ class FiniteFieldCtx(FieldCtx):
         images = []
         if self.subfield_degree == 1:
             cols = [self._digits(add(sig(v), neg(v))) for v in basis]
-            pivots, rows = pivot_rows(cols, ModPScalars(self.p))
+            pivots, rows = pivot_rows(cols, self.p)
             for j in range(m):
                 ds = [0] * m
                 for c, row in zip(pivots, rows):

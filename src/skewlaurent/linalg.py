@@ -1,45 +1,24 @@
-"""Exact linear algebra over small finite fields.
+"""Exact linear algebra over GF(p), and the scalars of the table fields.
 
-Gaussian elimination is generic over a scalar adapter (zero, one, add,
-sub, mul, neg, inv): ``ModPScalars`` for GF(p) as residues and
-``ZechScalars`` for GF(p^d) as ints on exp/log/Zech tables.  Both stand
-for zero by the int 0 alone, so elimination tests a scalar for zero by its
-truth value.  The field contexts eliminate over GF(p) alone: the
-subfield k0, the normal-basis test and its inverse matrix, and the
-sigma - 1 map where k0 = GF(p).  ``ZechScalars`` (with its ``pow``) is
-the arithmetic of the table fields; the tests also eliminate over k0 on
-it, as the oracle of the closed forms the order-4 set-up uses.
+Gaussian elimination runs on packed rows: one int per row, column j in
+slot j.  For p = 2 a slot is one bit and a row operation one XOR.  For
+odd p a slot is as wide as ``slot_codec(p, 2)`` makes it, which holds
+a + (p - c)*b for residues a, b and c, so the row operation
+row_i - c*row_r is one big-int multiply-add, reduced by one split/join
+(simultaneous modular reduction; Dumas, Fousse and Salvy, JSC 2011).
+The reduced row echelon form is unique, so every result equals that of
+elimination entry by entry.  The field contexts eliminate over GF(p)
+alone: the subfield k0, the normal-basis test and its inverse matrix,
+and the sigma - 1 map where k0 = GF(p).  ``ZechScalars`` (with its
+``pow``) is the arithmetic of the table fields; the tests also
+eliminate over k0 on it, as the oracle of the closed forms the order-4
+set-up uses.
 """
 
 from __future__ import annotations
 
 from .errors import ZeroNotInvertible
-
-
-class ModPScalars:
-    """GF(p) scalars as plain ints."""
-
-    __slots__ = ("p", "zero", "one")
-
-    def __init__(self, p):
-        self.p = p
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
+from .packed import slot_codec
 
 
 class ZechScalars:
@@ -120,88 +99,103 @@ class ZechScalars:
         return out
 
 
-def rref(rows, scalars):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
+def _row_codec(p):
+    """(bits, pack, split) of rows over GF(p), one slot of bits per column:
+    pack takes residues to a packed row, split(v, n) gives the first n
+    slots of v mod p.  Odd p take the slots of slot_codec(p, 2), which
+    hold a + (p - c)*b for residues a, b and c."""
+    if p == 2:
+        return 1, _pack_bits, _split_bits
+    bits, split, join = slot_codec(p, 2)
+    return bits, join, split
+
+
+def _pack_bits(ds):
+    return sum(d << j for j, d in enumerate(ds))
+
+
+def _split_bits(v, n):
+    return [v >> j & 1 for j in range(n)]
+
+
+def _eliminate(rows, p, unit=False):
+    """The reduced row echelon form over GF(p) of rows, or of [rows | I]
+    when unit, on packed rows: (rows, pivot columns, split, bit offset of I)."""
+    bits, pack, split = _row_codec(p)
+    k, n = len(rows[0]) if rows else 0, len(rows)
+    off, mask = bits * k, (1 << bits) - 1
+    ncols = k + n if unit else k
+    rows = [pack(r) | (1 << off + bits * i if unit else 0) for i, r in enumerate(rows)]
     pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = scalars.inv(rows[r][c])
-        rows[r] = [scalars.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [scalars.sub(v, scalars.mul(f, w)) for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    for c in range(ncols):
+        r, shift = len(pivots), bits * c
+        if r == n:
             break
-    return rows, pivots
+        for i in range(r, n):
+            if rows[i] >> shift & mask:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        piv = rows[r]
+        lead = piv >> shift & mask
+        if lead != 1:
+            piv = rows[r] = pack(split(piv * pow(lead, -1, p), ncols))
+        for i in range(n):
+            f = rows[i] >> shift & mask
+            if f and i != r:  # row_i - f*row_r: an XOR for p = 2
+                rows[i] = rows[i] ^ piv if p == 2 else pack(split(rows[i] + (p - f) * piv, ncols))
+        pivots.append(c)
+    return rows, pivots, split, off
 
 
-def pivot_rows(columns, scalars):
+def rref(rows, p):
+    """Reduced row echelon form over GF(p) of rows of residues; returns
+    (rows, pivot column indices)."""
+    red, pivots, split, _ = _eliminate(rows, p)
+    return [list(split(v, len(rows[0]))) for v in red], pivots
+
+
+def pivot_rows(columns, p):
     """(pivots, rows) giving the particular solution of sum_j x[j]*columns[j] = rhs.
 
-    Eliminating [columns | I] once records the row operations E.  For a
-    consistent rhs, the solution whose free variables are zero has
-    x[pivots[i]] = dot(rows[i], rhs), rows the first rank rows of E, and
-    every other x[j] zero.  The rows of E below them, whose products with
-    rhs vanish exactly when the system is consistent, are dropped: the
-    caller checks a solution by its own means.
+    Eliminating [A | I], A the matrix of the columns, records the row
+    operations E.  For a consistent rhs, the solution whose free
+    variables are zero has x[pivots[i]] = dot(rows[i], rhs), rows the
+    first rank rows of E, and every other x[j] zero.  The rows of E below
+    them, whose products with rhs vanish exactly when the system is
+    consistent, are dropped: the caller checks a solution by its own
+    means.
     """
     k, n = len(columns), len(columns[0])
-    rows = [
-        [col[i] for col in columns] + [scalars.one if i == j else scalars.zero for j in range(n)]
-        for i in range(n)
-    ]
-    red, pivots = rref(rows, scalars)
+    red, pivots, split, off = _eliminate(list(zip(*columns)), p, unit=True)
     pivots = [c for c in pivots if c < k]
-    return pivots, [row[k:] for row in red[: len(pivots)]]
+    return pivots, [list(split(v >> off, n)) for v in red[: len(pivots)]]
 
 
-def kernel_from_columns(columns, scalars):
+def kernel_from_columns(columns, p):
     """Echelon basis of {x : sum_j x[j]*columns[j] = 0}."""
     k = len(columns)
-    if k == 0:
-        return []
-    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    red, pivots = rref(rows, scalars)
+    red, pivots = rref(list(zip(*columns)), p)
     basis = []
     for f in range(k):
-        if f in pivots:
-            continue
-        v = [scalars.zero] * k
-        v[f] = scalars.one
-        for row, c in zip(red, pivots):
-            v[c] = scalars.neg(row[f])
-        basis.append(v)
+        if f not in pivots:
+            v = [0] * k
+            v[f] = 1
+            for row, c in zip(red, pivots):
+                v[c] = -row[f] % p
+            basis.append(v)
     return basis
 
 
-def rank_of_vectors(vectors, scalars):
-    if not vectors:
-        return 0
-    return len(rref(vectors, scalars)[1])
+def rank_of_vectors(vectors, p):
+    return len(_eliminate(vectors, p)[1])
 
 
-def invert_matrix(rows, scalars):
-    """Inverse of a square matrix given as a list of rows."""
+def invert_matrix(rows, p):
+    """Inverse of a square matrix over GF(p) given as a list of rows."""
     n = len(rows)
-    aug = [
-        list(r) + [scalars.one if i == j else scalars.zero for j in range(n)]
-        for i, r in enumerate(rows)
-    ]
-    red, pivots = rref(aug, scalars)
+    red, pivots, split, off = _eliminate(rows, p, unit=True)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [list(split(v >> off, n)) for v in red]

@@ -4,7 +4,9 @@ Every field without Zech tables computes on it: those past the table
 limit, and those within it whose modulus leaves x non-primitive, where
 the walk over the powers of x gives no tables.  Rabin's test runs on it,
 in the default-modulus search and for every modulus that such a walk
-does not prove irreducible.
+does not prove irreducible, with the Frobenius map v -> v^p as one
+``linear`` map.  The elimination over GF(p) (``linalg``) packs its rows
+with the same ``slot_codec``.
 
 An element is one Python int holding its m coefficients over GF(p):
 
@@ -51,6 +53,7 @@ def _byte_residues(p, nbytes):
     return tuple(bytes((b << 8 * i) % p for b in range(256)) for i in range(nbytes))
 
 
+@lru_cache(maxsize=64)
 def slot_codec(p, n):
     """(bits, split, join) for GF(p)-vectors packed one slot per entry.
 
@@ -59,7 +62,8 @@ def slot_codec(p, n):
     of degree < n (Kronecker substitution) or a GF(p)-combination of n
     packed vectors is a single big-int operation, after which
     ``split(v, count)`` returns the first count slots reduced mod p, and
-    ``join`` packs such a sequence back into an int.
+    ``join`` packs such a sequence back into an int.  The codec is built
+    once per (p, n) and shared by every kernel and elimination using it.
     """
     nbytes = _slot_bytes(n * (p - 1) ** 2)
     bits = 8 * nbytes

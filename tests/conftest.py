@@ -3,9 +3,16 @@ from itertools import chain
 import pytest
 
 from skewlaurent.decompose import _l_pair_ok
-from skewlaurent.errors import DecompositionError, NotInL, SkewLaurentError
-from skewlaurent.field_tower import FiniteFieldCtx, RationalFunctionCtx, _kernel, _prime_factors
-from skewlaurent.linalg import ModPScalars, ZechScalars, kernel_from_columns, rank_of_vectors, rref
+from skewlaurent.errors import DecompositionError, NotInL, SkewLaurentError, ZeroNotInvertible
+from skewlaurent.field_tower import (
+    _SEARCH_LIMIT,
+    _STANDARD_POLYS,
+    FiniteFieldCtx,
+    RationalFunctionCtx,
+    _kernel,
+    _prime_factors,
+)
+from skewlaurent.linalg import ZechScalars
 from skewlaurent.skew_series import SkewSeries
 
 
@@ -86,6 +93,126 @@ def sigma_degree(ctx, a, cap):
         if b == a:
             return j
     return None
+
+
+# ---------------------------------------------------------------------------
+# Gaussian elimination generic over a scalar adapter (zero, one, add, sub,
+# mul, neg, inv), one adapter call per entry: the oracle of the packed-row
+# elimination in skewlaurent.linalg, over GF(p) on ModPScalars, and the
+# tests' elimination over k0 on ZechScalars.
+
+
+class ModPScalars:
+    """GF(p) scalars as plain ints."""
+
+    __slots__ = ("p", "zero", "one")
+
+    def __init__(self, p):
+        self.p = p
+        self.zero = 0
+        self.one = 1
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+
+def rref(rows, scalars):
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = scalars.inv(rows[r][c])
+        rows[r] = [scalars.mul(inv, v) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [scalars.sub(v, scalars.mul(f, w)) for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def pivot_rows(columns, scalars):
+    """(pivots, rows) giving the particular solution of sum_j x[j]*columns[j] = rhs.
+
+    Eliminating [columns | I] once records the row operations E.  For a
+    consistent rhs, the solution whose free variables are zero has
+    x[pivots[i]] = dot(rows[i], rhs), rows the first rank rows of E, and
+    every other x[j] zero.  The rows of E below them, whose products with
+    rhs vanish exactly when the system is consistent, are dropped: the
+    caller checks a solution by its own means.
+    """
+    k, n = len(columns), len(columns[0])
+    rows = [
+        [col[i] for col in columns] + [scalars.one if i == j else scalars.zero for j in range(n)]
+        for i in range(n)
+    ]
+    red, pivots = rref(rows, scalars)
+    pivots = [c for c in pivots if c < k]
+    return pivots, [row[k:] for row in red[: len(pivots)]]
+
+
+def kernel_from_columns(columns, scalars):
+    """Echelon basis of {x : sum_j x[j]*columns[j] = 0}."""
+    k = len(columns)
+    if k == 0:
+        return []
+    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
+    red, pivots = rref(rows, scalars)
+    basis = []
+    for f in range(k):
+        if f in pivots:
+            continue
+        v = [scalars.zero] * k
+        v[f] = scalars.one
+        for row, c in zip(red, pivots):
+            v[c] = scalars.neg(row[f])
+        basis.append(v)
+    return basis
+
+
+def rank_of_vectors(vectors, scalars):
+    if not vectors:
+        return 0
+    return len(rref(vectors, scalars)[1])
+
+
+def invert_matrix(rows, scalars):
+    """Inverse of a square matrix given as a list of rows."""
+    n = len(rows)
+    aug = [
+        list(r) + [scalars.one if i == j else scalars.zero for j in range(n)]
+        for i, r in enumerate(rows)
+    ]
+    red, pivots = rref(aug, scalars)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +410,50 @@ def l_pair_elimination_oracle(o4, c):
         if _l_pair_ok(o4, a, b, c):
             return (a, b), kind
     raise DecompositionError("no valid L-pair factorisation was found")
+
+
+# Rabin's test by m calls of kern.pow, and the modulus search with it on
+# every candidate: the oracles of the Frobenius-map test and of the search
+# that rejects candidates with a root in GF(p) first.
+
+
+def pow_rabin(mod, p):
+    """Rabin's test for a monic f over GF(p), x^(p^i) by repeated pow."""
+    m = len(mod) - 1
+    if m < 1:
+        return False
+    if m == 1:
+        return True
+    kern = _kernel(p, m, mod)
+    frob = [kern.x]  # frob[i] = x^(p^i) mod f
+    for _ in range(m):
+        frob.append(kern.pow(frob[-1], p))
+    if frob[m] != kern.x:
+        return False
+    try:
+        for r in _prime_factors(m):
+            kern.inv(kern.add(frob[m // r], kern.neg(kern.x)))
+    except ZeroNotInvertible:
+        return False
+    return True
+
+
+def search_oracle(p, m):
+    """The first monic f of degree m that pow_rabin accepts among the
+    first _SEARCH_LIMIT candidates, scanned constant-first; None when
+    there is none."""
+    for v in range(min(p**m, _SEARCH_LIMIT)):
+        cs = []
+        for _ in range(m):
+            v, d = divmod(v, p)
+            cs.append(d)
+        if pow_rabin(tuple(cs) + (1,), p):
+            return tuple(cs) + (1,)
+    return None
+
+
+def default_modulus_oracle(p, m):
+    return _STANDARD_POLYS.get((p, m)) or search_oracle(p, m)
 
 
 # Polynomials over GF(p) as digit tuples, ascending degree, trailing zeros

@@ -10,6 +10,7 @@ from operator import add, mul, sub
 
 import pytest
 
+from skewlaurent import field_tower
 from skewlaurent.errors import (
     CoefficientTooLarge,
     FieldSpecError,
@@ -24,6 +25,7 @@ from skewlaurent.field_tower import (
     _is_irreducible,
     _kernel,
     _prime_factors,
+    _search_irreducible,
     _x_tables,
     _zgcd,
     FiniteFieldCtx,
@@ -37,6 +39,7 @@ from skewlaurent.skew_series import from_terms
 from conftest import (
     NotInSpan,
     coords,
+    default_modulus_oracle,
     k0_independent,
     k0_rank,
     k0_scalars,
@@ -45,6 +48,8 @@ from conftest import (
     nonzero_elem,
     particular_solver,
     pdivmod,
+    pow_rabin,
+    search_oracle,
     sigma_degree,
     sigma_minus_one_oracle,
 )
@@ -770,6 +775,62 @@ def _monic_by_trial_division():
 def test_rabin_test_matches_trial_division():
     for p, m, f, reducible in _monic_by_trial_division():
         assert _is_irreducible(f, p) == (not reducible), (p, f)
+
+
+def test_frobenius_map_rabin_test_matches_the_pow_test():
+    # every monic polynomial of degree <= 6 over GF(2) and GF(3) and of
+    # degree <= 4 over GF(5), reducible ones included; a given kernel
+    # with the table budget of many maps (GF(2^m)'s narrower chunks) too
+    verdicts = set()
+    for p, top in ((2, 6), (3, 6), (5, 4)):
+        for m in range(1, top + 1):
+            for cs in product(range(p), repeat=m):
+                f = tuple(cs) + (1,)
+                want = pow_rabin(f, p)
+                verdicts.add(want)
+                assert _is_irreducible(f, p) == want, (p, f)
+                assert _is_irreducible(f, p, _kernel(p, m, f, m)) == want, (p, f)
+    assert verdicts == {True, False}
+
+
+MODULUS_CASES = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 9)] + [
+    (2, 16),
+    (2, 20),
+    (3, 12),
+    (257, 5),
+]
+
+
+@pytest.mark.parametrize("p, m", MODULUS_CASES)
+def test_modulus_search_matches_the_pow_test_on_every_candidate(p, m):
+    # the search rejects candidates with a root in GF(p) before Rabin's
+    # test, and must return the first candidate the pow-based test accepts
+    assert _search_irreducible(p, m) == search_oracle(p, m)
+    assert default_modulus(p, m) == default_modulus_oracle(p, m)
+
+
+@pytest.mark.parametrize("p, m", [(2, 20), (3, 12), (13, 7), (257, 5)])
+def test_modulus_search_tests_exactly_the_candidates_without_a_root(p, m, monkeypatch):
+    tested = []
+
+    def record(mod, p):
+        tested.append(mod)
+        return _is_irreducible(mod, p)
+
+    monkeypatch.setattr(field_tower, "_is_irreducible", record)
+    found = _search_irreducible(p, m)
+    rootless = []
+    for v in range(p**m):
+        cs = []
+        for _ in range(m):
+            v, d = divmod(v, p)
+            cs.append(d)
+        f = tuple(cs) + (1,)
+        if all(sum(c * pow(a, i, p) for i, c in enumerate(f)) % p for a in range(p)):
+            rootless.append(f)
+        if f == found:
+            break
+    assert tested == rootless and tested[-1] == found
 
 
 def test_x_tables_exist_only_for_irreducible_moduli_with_primitive_x():
