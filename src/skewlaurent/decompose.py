@@ -167,7 +167,7 @@ def x_bracket_preimage(g):
     shifted one slot left.  NotInL for a coefficient outside Im(sigma - 1).
     """
     ctx = g.ctx
-    preimage = ctx._sigma_minus_one()
+    preimage = ctx._sigma_minus_one
     out = [preimage(c) if c else c for c in ctx._unwrap(g.coeffs)]
     return SkewSeries(ctx, g.val - 1, ctx._wrap(out), g.prec - 1)
 

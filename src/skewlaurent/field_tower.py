@@ -9,40 +9,26 @@ Two concrete families are provided:
   scaling t -> q*t for a rational q outside {0, 1, -1}.  Both have
   infinite order and fixed field Q.
 
-Elements are exact.  A finite-field element is a packed int, and its
-context binds one set of operations at construction.  A field of at
-most _TABLE_LIMIT elements whose x generates the multiplicative group,
-as it does for the Conway moduli, packs the coefficients in base p and
-computes on exp/log/Zech tables (``linalg.ZechScalars``), where sigma^j
-permutes the logs: the tables are the powers of x walked on those
-base-p ints (a digit shift less a multiple of the modulus), and the
-walk also proves the modulus irreducible.  Every other field, larger
-or with x not primitive, passes Rabin's test and computes on the
-packed kernel (``packed``): coefficients one per bit (p = 2) or one per
-byte-aligned slot (odd p), big-int products, extended-Euclid inverses,
-and sigma^j as a precomputed GF(p)-linear map.  A field named without a
-modulus takes a Conway polynomial from _STANDARD_POLYS or the first
-irreducible of a constant-first scan, which rejects candidates with a
-root in GF(p) before Rabin's test (``_search_irreducible``).  A Q(t)
-element is a pair n/d of integer-coefficient polynomials, coprime over
-Q[t], with joint integer content 1 and a positive leading coefficient
-of d.  Q(t) arithmetic is fraction-free: gcds over Z[t] run a primitive
-pseudo-remainder sequence and each result is normalised once.
+Elements are exact.  A finite-field element is an int, and its context
+binds, at construction, one of the three backends of ``packed``, which
+share one interface: Zech tables for a field of at most _TABLE_LIMIT
+elements whose x generates the multiplicative group (the walk over the
+powers of x that builds them also proves the modulus irreducible), else
+the packed kernel, after Rabin's test.  A field named without a modulus
+takes a Conway polynomial from _STANDARD_POLYS or the first irreducible
+of a constant-first scan.  A Q(t) element is a pair n/d of
+integer-coefficient polynomials, coprime over Q[t], with joint integer
+content 1 and a positive leading coefficient of d; Q(t) arithmetic is
+fraction-free.
 
-The finite-field context also gives k0-coordinates, over k0 = GF(p^d)
-as small ints, against the normal basis, and the module hosts the
-order-4 subspace context used by the decomposition engine: the image L
-of sigma - 1, the line k1 = {z : sigma(z) = -z} and the plane
+The finite-field context also gives k0-coordinates, and the module hosts
+the order-4 subspace context used by the decomposition engine: the image
+L of sigma - 1, the line k1 = {z : sigma(z) = -z} and the plane
 k2 = {z : sigma^2(z) = -z}.  The order-4 route needs only field
-arithmetic: the trace to k0, Tr = sum of the bound sigma maps (L = ker
-Tr, by additive Hilbert 90; the L-pair factorisation and step solve with
-it in closed form, see ``decompose``), and the preimage under
-sigma - 1, one GF(p)-linear map on raw values built once per context,
-from partial traces of the normal-basis element when d > 1 and one
-elimination over GF(p) when d = 1, and checked by sigma(z) - z == c.
-Every elimination (``linalg``, on packed rows over GF(p)) is set-up:
-the k0 basis, the normal-basis test, the inverse behind k0_vec and the
-d = 1 sigma - 1 map, each once per context.
+arithmetic: the trace to k0 (L = ker Tr, by additive Hilbert 90) and the
+preimage under sigma - 1, one GF(p)-linear map on raw values built once
+per context from partial traces of the normal-basis element.  Every
+elimination over GF(p) (``linalg``) is set-up, once per context.
 """
 
 from __future__ import annotations
@@ -50,9 +36,9 @@ from __future__ import annotations
 import random
 import weakref
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from math import fsum, gcd
-from operator import add, methodcaller, mul, neg, xor
+from operator import add, methodcaller, mul, neg
 
 from .errors import (
     CoefficientTooLarge,
@@ -66,8 +52,8 @@ from .errors import (
     UnsupportedOrder,
     ZeroNotInvertible,
 )
-from .linalg import ZechScalars, invert_matrix, kernel_from_columns, pivot_rows, rank_of_vectors
-from .packed import PackedGF2, PackedOddField, slot_codec
+from .linalg import invert_matrix, kernel_from_columns, rank_of_vectors
+from .packed import PackedGF2, PackedOddField, ZechScalars, slot_codec
 
 _TABLE_LIMIT = 1 << 16
 # Field budgets: _is_prime is trial division, so p stays below _P_LIMIT;
@@ -78,8 +64,6 @@ _P_LIMIT = 1 << 32
 _Q_LIMIT = 1 << 64
 _SEARCH_LIMIT = 1024
 _WITNESS_SEED = "normal-basis-search"
-# Entries in one lookup table of a table field's linear maps (_base_p_linear).
-_CHUNK_ENTRIES = 1 << 6
 # series_mul sums by delayed reduction (where the context binds _wide)
 # when the pairs of nonzero terms, nf*ng, reach _DELAYED_RATIO times the
 # output width: below that, lifting and reducing cost more than the
@@ -150,38 +134,7 @@ def _x_tables(p, m, mod):
         return None
     plus_one = list(range(1, q + 1))
     plus_one[p - 1 :: p] = range(0, q, p)  # digit 0 wraps from p - 1 to 0
-    return ZechScalars(p, exp, list(map(plus_one.__getitem__, exp)))
-
-
-def _base_p_linear(p, m, add, images):
-    """v -> sum_i digit_i(v)*images[i] for base-p ints v of m digits.
-
-    One lookup table per chunk of c digits, p^c <= _CHUNK_ENTRIES, holds
-    the combination of that chunk's images for every value of its
-    digits; sums are taken with add.
-    """
-    c = 1
-    while c < m and p ** (c + 1) <= _CHUNK_ENTRIES:
-        c += 1
-    size = p**c
-    tables = []
-    for lo in range(0, m, c):
-        tab = [0]
-        for img in images[lo : lo + c]:
-            multiples = [0]
-            for _ in range(p - 1):
-                multiples.append(add(multiples[-1], img))
-            tab = [add(t, u) for u in multiples for t in tab]
-        tables.append(tab)
-
-    def apply(v):
-        r = 0
-        for tab in tables:
-            v, d = divmod(v, size)
-            r = add(r, tab[d])
-        return r
-
-    return apply
+    return ZechScalars(p, m, exp, list(map(plus_one.__getitem__, exp)))
 
 
 def _is_irreducible(mod, p, kern=None):
@@ -191,10 +144,8 @@ def _is_irreducible(mod, p, kern=None):
     is a unit mod f for every prime r dividing m.  The test runs in the
     packed arithmetic of GF(p)[x]/(f), kern when given, which needs no
     irreducibility.  The powers x^(p^i) are the iterates of the Frobenius
-    map v -> v^p, which is GF(p)-linear: one pow gives x^p, m - 2 products
-    its powers, the images of the basis 1, x, ..., x^(m-1), and kern.linear
-    makes the map from them, applied m times.  The unit test is an
-    extended Euclidean inverse.
+    map v -> v^p, kern's first sigma map for k = p, applied m times.  The
+    unit test is an extended Euclidean inverse.
     """
     m = len(mod) - 1
     if m < 1:
@@ -203,11 +154,7 @@ def _is_irreducible(mod, p, kern=None):
         return True
     if kern is None:
         kern = _kernel(p, m, mod)
-    x_p = kern.pow(kern.x, p)
-    images = [1, x_p]
-    for _ in range(m - 2):
-        images.append(kern.mul(images[-1], x_p))
-    frob_map = kern.linear(images)
+    frob_map = kern.sigma_maps(p, 2)[1]
     frob = [kern.x]  # frob[i] = x^(p^i) mod f
     for _ in range(m):
         frob.append(frob_map(frob[-1]))
@@ -539,37 +486,15 @@ class FFElem:
 class FiniteFieldCtx(FieldCtx):
     """GF(p^m) with sigma = Frobenius^e.
 
-    One seam with two implementations: the constructor binds _add, _neg,
-    _mul, _inv, _pow and one callable per power of sigma, and nothing
-    else branches on the backend.  A field of at most _TABLE_LIMIT
-    elements whose x is primitive has an element as its base-p packed
-    coefficient vector, the operations of a ``ZechScalars`` (exp/log/Zech
-    tables, the powers of x walked on base-p ints), and sigma^j as a
-    permutation table, g^i -> g^(i*p^(e*j)).  Every other field binds the
-    packed kernel's operations: ``PackedGF2`` (bit-packed, XOR sums,
-    shift-XOR products) for p = 2 and ``PackedOddField``
-    (Kronecker-packed) for odd p.  Both invert by the extended Euclidean
-    algorithm and apply sigma^j as a precomputed GF(p)-linear map on the
-    coefficients.  The tables stay for the small fields because lookups
-    are cheaper there than the kernel's products and inverses.  Elements,
-    texts and the seeded searches are defined on base-p digits, so a
-    field gives the same certificates on either backend.
-
-    A ``PackedOddField`` context with one-byte kernel slots (m*(p-1)^2 <
-    256) also binds _wide, the kernel's ``wide``: for a sum of up to k
-    products, lift re-spreads a value into slots of slot_codec(p, m*k)
-    width, which hold k*m*(p-1)^2, and reduce takes the plain-int sum of
-    lifted products back to an element, each slot mod p and then folded
-    as one product is.  series_mul and decompose's
-    factor loop sum dense rows that way (see FieldCtx).  Table fields,
-    ``PackedGF2`` and wider kernel slots, as on GF(17^5), bind none.
-    Wider slots would be reduced digit by digit in Python, the step
-    that made a delayed sum lose to the loop at width 8, and no measured
-    workload has them.  Lifting rows of logs into a table field's
-    slots cost more in each certificate's context build than the products
-    saved.  GF(2^m) products are carry-less, and where sigma's order
-    reaches the width, as on GF(2^20)/frob, nearly every row is a fresh
-    sigma image, lifted for a single pair.
+    The constructor binds one backend of ``packed`` through its shared
+    interface: the seam of the series kernels (see FieldCtx) and the
+    digit codec _digits, _pack and _from_base_p.  Nothing else depends on
+    the backend.  A field of at most _TABLE_LIMIT elements whose x is
+    primitive binds ``ZechScalars``, as lookups are cheaper there than
+    the kernel's products and inverses; every other field binds
+    ``PackedGF2`` or ``PackedOddField``.  Elements, texts and the seeded
+    searches are defined on base-p digits, so a field gives the same
+    certificates on either backend.
 
     The k0-coordinates are over k0 = GF(p^d), d = gcd(m, e), as small
     ints: the digits when d = 1, and otherwise, against the normal basis,
@@ -577,11 +502,11 @@ class FiniteFieldCtx(FieldCtx):
     over the GF(p)-basis beta of k0 that also orders k0_scalar_elements()
     (see k0_scalar_to_elem).  Then k0_vec is one precomputed GF(p) matrix
     applied to the coefficients, a big-int combination of its packed
-    columns (``slot_codec``).  The
-    trace to k0, ``k0_trace``, sums the bound sigma maps, and the order-4
-    subspace tests go through it or sigma.  _linear(images) makes the
-    GF(p)-linear map with the images of 1, g, ..., g^(m-1), such as the
-    sigma - 1 preimage: the packed kernel's, or ``_base_p_linear``.
+    columns (``slot_codec``).  The trace to k0, ``k0_trace``, sums the
+    bound sigma maps, and the order-4 subspace tests go through it or
+    sigma.  What these need is set up on first use, as cached
+    properties holding plain values and closures, never an element: a
+    dropped context is freed at once.
     """
 
     def __init__(self, p, m, frob_power=1, modulus=None):
@@ -615,9 +540,6 @@ class FiniteFieldCtx(FieldCtx):
         self.subfield_degree = gcd(m, e)  # k0 = GF(p^subfield_degree)
         self.sigma_order = m // self.subfield_degree
         self.key = ("gf", p, m, e, modulus)
-        self._gen_value = p
-        self._k0 = None
-        self._sig_minus_one = None
         # A table field's walk over the powers of x also proves the modulus
         # irreducible; every other field runs Rabin's test on the kernel.
         ops = _x_tables(p, m, modulus) if q <= _TABLE_LIMIT else None
@@ -625,66 +547,10 @@ class FiniteFieldCtx(FieldCtx):
             ops = _kernel(p, m, modulus, self.sigma_order)
             if not _is_irreducible(modulus, p, ops):
                 raise FieldSpecError(f"modulus {list(modulus)} is reducible over GF({p})")
-        self._bind_backend(ops)
-
-    # -- representation helpers ------------------------------------------
-    #
-    # The table backend packs coefficients in base p; the packed backend
-    # binds its own _digits, _pack and _from_base_p over these.
-
-    def _digits(self, v):
-        out = []
-        for _ in range(self.m):
-            v, d = divmod(v, self.p)
-            out.append(d)
-        return tuple(out)
-
-    def _pack(self, ds):
-        v = 0
-        for d in reversed(tuple(ds)):
-            v = v * self.p + d % self.p
-        return v
-
-    def _from_base_p(self, v):
-        return v
-
-    def _bind_backend(self, ops):
-        """Bind the operations and sigma^j maps of ops: the ``ZechScalars``
-        of a table field, else the packed kernel."""
-        p = self.p
-        step = p**self.e  # sigma(a) = a^step
-        tables = isinstance(ops, ZechScalars)
-        if tables:
-            sig1 = ops.power_table(step)
-            maps = [None, sig1.__getitem__]
-            tab = sig1
-            for _ in range(2, self.sigma_order):
-                tab = list(map(sig1.__getitem__, tab))
-                maps.append(tab.__getitem__)
-        else:
-            self._digits, self._pack, self._from_base_p = ops.digits, ops.pack, ops.from_base_p
-            self._gen_value = ops.x
-            # sigma(x^i) = x^(i*step): the images of the basis under sigma^j
-            x_step = ops.pow(ops.x, step)
-            images = [1]
-            for _ in range(self.m - 1):
-                images.append(ops.mul(images[-1], x_step))
-            sig1 = ops.linear(images)
-            maps = [None, sig1]
-            for _ in range(2, self.sigma_order):
-                images = [sig1(v) for v in images]
-                maps.append(ops.linear(images))
         self._add, self._neg, self._mul, self._inv = ops.add, ops.neg, ops.mul, ops.inv
-        if p == 2:  # base-2 packing: a sum is the XOR of the coefficient bits
-            self._add = xor
-        self._pow = ops.pow
-        # delayed sums on one-byte kernel slots only (see the class docstring)
-        self._wide = ops.wide if isinstance(ops, PackedOddField) and ops.shift == 8 else None
-        self._sig_maps = maps
-        if tables:
-            self._linear = partial(_base_p_linear, p, self.m, self._add)
-        else:
-            self._linear = ops.linear
+        self._pow, self._linear, self._wide, self._gen_value = ops.pow, ops.linear, ops.wide, ops.x
+        self._digits, self._pack, self._from_base_p = ops.digits, ops.pack, ops.from_base_p
+        self._sig_maps = ops.sigma_maps(p**e, self.sigma_order)  # sigma(a) = a^(p^e)
 
     def sigma(self, a, i=1):
         j = i % self.sigma_order
@@ -837,45 +703,41 @@ class FiniteFieldCtx(FieldCtx):
 
     # -- k0 = Fix(sigma) -----------------------------------------------------
 
+    @cached_property
     def _k0_values(self):
         """Every element of k0 as a packed value, the k0 scalar c at position c.
 
         Position c = sum_j c_j*p^j holds sum_j c_j*beta_j, where
         beta_(d-1), ..., beta_0 is the echelon basis of the kernel of
-        sigma - 1 as a GF(p)-linear map.  (Contexts cache plain values,
-        never elements, so that a dropped context is freed at once.)
+        sigma - 1 as a GF(p)-linear map.
         """
-        cached = getattr(self, "_k0_value_list", None)
-        if cached is not None:
-            return cached
         if self.subfield_degree == 1:
-            out = list(range(self.p))
-        else:
-            cols = []
-            for i in range(self.m):
-                b = self.elem([0] * i + [1])
-                cols.append(self._digits((self.sigma(b, 1) - b).value))
-            add = self._add
-            out = [0]
-            for vec in reversed(kernel_from_columns(cols, self.p)):  # beta_0 first
-                beta, multiples = self._pack(vec), [0]
-                for _ in range(self.p - 1):
-                    multiples.append(add(multiples[-1], beta))
-                out = [add(t, u) for u in multiples for t in out]
-        self._k0_value_list = out
+            return list(range(self.p))
+        cols = []
+        for i in range(self.m):
+            b = self.elem([0] * i + [1])
+            cols.append(self._digits((self.sigma(b, 1) - b).value))
+        add = self._add
+        out = [0]
+        for vec in reversed(kernel_from_columns(cols, self.p)):  # beta_0 first
+            beta, multiples = self._pack(vec), [0]
+            for _ in range(self.p - 1):
+                multiples.append(add(multiples[-1], beta))
+            out = [add(t, u) for u in multiples for t in out]
         return out
 
     def _k0_basis(self):
         """beta_0, ..., beta_(d-1): the k0 elements standing for 1, p, p^2, ..."""
-        values = self._k0_values()
+        values = self._k0_values
         return [FFElem(self, values[self.p**j]) for j in range(self.subfield_degree)]
 
     def k0_scalar_elements(self):
         """All scalars of k0, in a fixed order, as the ints of k0_vec."""
-        return list(range(len(self._k0_values())))
+        return list(range(len(self._k0_values)))
 
+    @cached_property
     def _k0_setup(self):
-        """(vec, units) behind k0_vec for d > 1, built once.
+        """(vec, units): the k0-coordinates against the normal basis.
 
         vec takes the digits of an element to its m/d k0-coordinates: it
         inverts the GF(p)-linear map that takes the digits c_(i*d+j) to
@@ -883,15 +745,12 @@ class FiniteFieldCtx(FieldCtx):
         big-int combination of the packed columns of the inverse (see
         slot_codec), scalar i having base-p digits i*d, ..., i*d + d - 1 of
         the combination.  units[j] is the coordinates of g^j, read off
-        column j alone.
+        column j alone.  (k0_vec reads the digits instead when d = 1.)
         """
-        if self._k0 is not None:
-            return self._k0
         p, m, d = self.p, self.m, self.subfield_degree
-        cols = self._conjugate_digits(self._normal_basis_elem())
         _, split, join = slot_codec(p, m)
         # the columns of the inverse are the rows of the transpose's inverse
-        packed = [join(row) for row in invert_matrix(cols, p)]
+        packed = [join(row) for row in invert_matrix(self._normal[1], p)]
         pw = [p**j for j in range(d)]
 
         def coords(v):  # a GF(p)-combination of the columns, as k0 scalars
@@ -901,8 +760,7 @@ class FiniteFieldCtx(FieldCtx):
         def vec(digits):  # no reference to the context: it holds vec
             return coords(sum(map(mul, digits, packed)))
 
-        self._k0 = (vec, [coords(col) for col in packed])
-        return self._k0
+        return vec, [coords(col) for col in packed]
 
     def _conjugate_digits(self, y):
         """The digits of beta_j*sigma^i(y), for i < n and, within each i, j < d."""
@@ -912,26 +770,28 @@ class FiniteFieldCtx(FieldCtx):
 
     # -- witnesses and k0 vectorisation ------------------------------------
 
-    def _normal_basis_elem(self):
-        cached = getattr(self, "_normal_value", None)
-        if cached is not None:
-            return FFElem(self, cached)
+    @cached_property
+    def _normal(self):
+        """(value, conjugate digits) of the normal-basis element y, the
+        first nonzero of a seeded search whose conjugates are k0-independent,
+        that is, whose beta_j*sigma^i(y) are GF(p)-independent."""
         rng = random.Random(f"{_WITNESS_SEED}:{self.field_spec()}:{self.sigma_spec()}")
         for _ in range(256):
             y = self.random_elem(rng)
             if not y:
                 continue
-            # y is normal iff its conjugates are k0-independent, iff the
-            # beta_j*sigma^i(y) are GF(p)-independent
-            if rank_of_vectors(self._conjugate_digits(y), self.p) == self.m:
-                self._normal_value = y.value
-                return y
+            cols = self._conjugate_digits(y)
+            if rank_of_vectors(cols, self.p) == self.m:
+                return y.value, cols
         raise NoWitness("normal basis search exhausted its retry budget")
+
+    def _normal_basis_elem(self):
+        return FFElem(self, self._normal[0])
 
     def k0_vec(self, a):
         if self.subfield_degree == 1:
             return self._digits(a.value)
-        return self._k0_setup()[0](self._digits(a.value))
+        return self._k0_setup[0](self._digits(a.value))
 
     def k0_vec_basis(self):
         if self.subfield_degree == 1:
@@ -942,58 +802,47 @@ class FiniteFieldCtx(FieldCtx):
     def k0_scalar_to_elem(self, c):
         if self.subfield_degree == 1:
             return self.from_int(c)
-        return FFElem(self, self._k0_values()[c])
+        return FFElem(self, self._k0_values[c])
 
     def sigma_minus_one_preimage(self, c):
         """Some z with sigma(z) - z = c, free coordinates pinned to zero."""
-        return FFElem(self, self._sigma_minus_one()(c.value))
+        return FFElem(self, self._sigma_minus_one(c.value))
 
+    @cached_property
     def _sigma_minus_one(self):
-        """sigma_minus_one_preimage on raw values, built once.
+        """sigma_minus_one_preimage on raw values.
 
-        The solution of sigma(z) - z = c over k0 against k0_vec_basis(),
-        its free coordinates zero, is k0-linear in c: one GF(p)-linear map,
-        _linear of the images of 1, g, ..., g^(m-1).  For d = 1 the
-        coordinates are the digits and the basis the powers of g, and one
-        elimination over GF(p) (pivot_rows) on the digits of
-        sigma(g^j) - g^j places its rows at the pivots: the image of g^j
-        is column j of them.  For d > 1, against the conjugates sigma^i(y)
-        of the normal-basis element, sigma - 1 is the cyclic shift less
-        the identity, whose echelon form has pivots 0, ..., n - 2 and the
-        last coordinate free: the solution takes sigma^i(y) to the partial
-        trace y + ... + sigma^(i-1)(y) (on L, where the coordinates of c
-        sum to zero), and the image of g^j combines the partial traces by
-        the coordinates of g^j, column j of the inverse that k0_vec
-        applies (_k0_setup).  The map is defined on all of k; z solves the
+        Against the conjugates sigma^i(y) of the normal-basis element,
+        sigma - 1 is the cyclic shift less the identity, whose echelon form
+        over k0 has pivots 0, ..., n - 2 and the last coordinate free.
+        With that coordinate zero, the solution of sigma(z) - z = c takes
+        sigma^i(y) to the partial trace y + ... + sigma^(i-1)(y) (on L,
+        where the coordinates of c sum to zero), and it is one
+        GF(p)-linear map, _linear of the images of 1, g, ..., g^(m-1): the
+        image of g^j combines the partial traces by the coordinates of
+        g^j, column j of the inverse behind k0_vec (_k0_setup).  When
+        d = 1, k0_vec_basis() is the powers of g instead, and the kernel
+        of sigma - 1 is GF(p)*1, the column of the constant digit: so each
+        image less its constant digit is the solution with that free
+        coordinate zero.  The map is defined on all of k; z solves the
         equation exactly when c lies in L = Im(sigma - 1), which
         sigma(z) - z == c checks (NotInL otherwise).
         """
-        if self._sig_minus_one is not None:
-            return self._sig_minus_one
-        m = self.m
-        sig, add, neg = self._sig_maps[1], self._add, self._neg
-        basis = self._unwrap(self.k0_vec_basis())
+        maps, add, neg, mul_ = self._sig_maps, self._add, self._neg, self._mul
+        k0, y = self._k0_values, self._normal[0]
+        partials = [0]  # partials[i]: y + ... + sigma^(i-1)(y)
+        for sig in maps[:-1]:
+            partials.append(add(partials[-1], sig(y)))
         images = []
-        if self.subfield_degree == 1:
-            cols = [self._digits(add(sig(v), neg(v))) for v in basis]
-            pivots, rows = pivot_rows(cols, self.p)
-            for j in range(m):
-                ds = [0] * m
-                for c, row in zip(pivots, rows):
-                    ds[c] = row[j]
-                images.append(self._pack(ds))
-        else:
-            k0, mul_ = self._k0_values(), self._mul
-            partials = [0]  # partials[i]: y + ... + sigma^(i-1)(y)
-            for v in basis[:-1]:
-                partials.append(add(partials[-1], v))
-            for xs in self._k0_setup()[1]:  # the coordinates of g^j
-                z = 0
-                for x, v in zip(xs, partials):
-                    if x:
-                        z = add(z, mul_(k0[x], v))
-                images.append(z)
-        lin = self._linear(images)
+        for xs in self._k0_setup[1]:  # the coordinates of g^j
+            z = 0
+            for x, v in zip(xs, partials):
+                if x:
+                    z = add(z, mul_(k0[x], v))
+            if self.subfield_degree == 1:
+                z = add(z, neg(self._digits(z)[0]))
+            images.append(z)
+        lin, sig = self._linear(images), maps[1]
 
         def preimage(c):  # no reference to the context: it holds preimage
             z = lin(c)
@@ -1001,19 +850,18 @@ class FiniteFieldCtx(FieldCtx):
                 raise NotInL("element is not in the image of sigma - 1")
             return z
 
-        self._sig_minus_one = preimage
         return preimage
+
+    @cached_property
+    def _order4(self):
+        return Order4Ctx(self)
 
     def build_order4_ctx(self):
         if self.sigma_order != 4:
             raise UnsupportedOrder(
                 self.sigma_order, "order-4 context requires sigma of order 4"
             )
-        cached = getattr(self, "_order4_ctx", None)
-        if cached is None:
-            cached = Order4Ctx(self)
-            self._order4_ctx = cached
-        return cached
+        return self._order4
 
 
 # ---------------------------------------------------------------------------
@@ -1040,11 +888,8 @@ _QT_MAX_BITS = 1 << 15
 
 
 def _check_size(n, d=_ZONE):
-    """Raise CoefficientTooLarge unless n/d (n nonzero) is within the budget.
-
-    _normed and the polynomial product call it only when fsum(n + d) fails
-    or a length is past the degree budget (see _past_bits).
-    """
+    """Raise CoefficientTooLarge unless n/d (n nonzero) is within the budget:
+    the check of every result _normed and RatFunc.__mul__ build."""
     if len(n) > _QT_MAX_LEN or len(d) > _QT_MAX_LEN or _past_bits(n + d):
         raise CoefficientTooLarge(
             f"a Q(t) coefficient is past the size budget of degree {_QT_MAX_DEGREE} "
@@ -1188,12 +1033,7 @@ def _normed(ctx, n, d):
     if g != 1:
         n = tuple([c // g for c in n])
         d = tuple([c // g for c in d])
-    try:  # the size budget, cheap while no integer reaches 2^1024
-        fsum(n + d)
-    except OverflowError:
-        _check_size(n, d)
-    if len(n) > _QT_MAX_LEN or len(d) > _QT_MAX_LEN:
-        _check_size(n, d)
+    _check_size(n, d)
     return RatFunc(ctx, n, d)
 
 
@@ -1207,18 +1047,6 @@ class RatFunc:
         self.ctx = ctx
         self.n = n
         self.d = d
-
-    @property
-    def num(self):
-        """Numerator coefficients as Fractions, scaled so that ``den`` is monic."""
-        lead = self.d[-1]
-        return tuple(Fraction(c, lead) for c in self.n)
-
-    @property
-    def den(self):
-        """Monic denominator coefficients as Fractions."""
-        lead = self.d[-1]
-        return tuple(Fraction(c, lead) for c in self.d)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -1285,12 +1113,7 @@ class RatFunc:
         if len(d1) == 1 and len(d2) == 1:
             n = _zmul(n1, n2)
             if d1 == _ZONE and d2 == _ZONE:
-                try:  # the size budget, as in _normed
-                    fsum(n)
-                except OverflowError:
-                    _check_size(n)
-                if len(n) > _QT_MAX_LEN:
-                    _check_size(n)
+                _check_size(n)
                 return RatFunc(ctx, n)
             return _normed(ctx, n, (d1[0] * d2[0],))
         _, n1, d2 = _zgcd(n1, d2)

@@ -1,32 +1,23 @@
-"""Packed arithmetic in GF(p^m) = GF(p)[x]/(f).
+"""The three arithmetic backends of GF(p^m) = GF(p)[x]/(f).
 
-Every field without Zech tables computes on it: those past the table
-limit, and those within it whose modulus leaves x non-primitive, where
-the walk over the powers of x gives no tables.  Rabin's test runs on it,
-in the default-modulus search and for every modulus that such a walk
-does not prove irreducible, with the Frobenius map v -> v^p as one
-``linear`` map.  The elimination over GF(p) (``linalg``) packs its rows
+A finite-field context binds one of them at construction and never asks
+which.  Each computes on Python ints, with one interface:
+
+* ``x``, the int standing for the residue of x;
+* ``add``, ``neg``, ``mul``, ``inv`` and ``pow``;
+* ``digits(v)``, the m coefficients of v over GF(p), ``pack``, its
+  inverse, and ``from_base_p``, the element whose coefficients are the
+  base-p digits of an int (the order the context lists elements in);
+* ``linear(images)``, the GF(p)-linear map v -> sum_i digit_i(v)*images[i];
+* ``sigma_maps(k, n)``, the maps v -> v^(k^j) for j < n, k a power of p
+  and n >= 2;
+* ``wide``, k -> (lift, reduce) for sums of k products reduced once, or
+  None.
+
+``ZechScalars`` computes on exp/log/Zech tables, ``PackedGF2`` and
+``PackedOddField`` on packed polynomials; each class documents its own
+representation.  The elimination over GF(p) (``linalg``) packs its rows
 with the same ``slot_codec``.
-
-An element is one Python int holding its m coefficients over GF(p):
-
-* ``PackedGF2`` (p = 2) puts coefficient i in bit i.  Sums are XOR and
-  products windowed shift-XOR carry-less products.
-* ``PackedOddField`` (odd p) puts coefficient i in a byte-aligned slot
-  wide enough that a product of two packed polynomials is one big-int
-  product (Kronecker substitution; Harvey, JSC 2009), reduced slot by
-  slot afterwards.  Where a slot is one byte, for a sum of k products
-  it also re-spreads values into wide slots (``wide``), sized by
-  slot_codec(p, m*k) to hold k*m*(p-1)^2, so the products are summed as
-  plain ints and reduced once: delayed reduction, as in FFLAS-FFPACK
-  (Dumas, Giorgi and Pernet, ACM TOMS 2008).
-
-Both reduce a product through the precomputed images of x^m, ...,
-x^(2m-2), invert by the extended Euclidean algorithm over GF(p)[x]
-(Knuth, TAOCP vol. 2, 4.6.1), and build GF(p)-linear maps (sigma^j in
-particular) from the images of the basis 1, x, ..., x^(m-1).  Nothing
-here needs f to be irreducible except ``inv``, which raises
-ZeroNotInvertible for an element sharing a factor with f.
 """
 
 from __future__ import annotations
@@ -39,7 +30,13 @@ from .errors import ZeroNotInvertible
 # Entries allowed in the lookup tables of one GF(2^m) context's linear
 # maps: 2^11 keeps GF(2^20)/frob (20 maps) at 4-bit chunks, about 60 KB.
 LINEAR_TABLE_BUDGET = 1 << 11
+# Entries in one lookup table of a ZechScalars linear map.
+_CHUNK_ENTRIES = 1 << 6
 _ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _identity(v):
+    return v
 
 
 def _slot_bytes(bound):
@@ -92,11 +89,146 @@ def slot_codec(p, n):
     return bits, split, join
 
 
+class ZechScalars:
+    """GF(p^m) on exp/log/Zech tables, an element as the base-p int of its
+    coefficients.
+
+    ``exp[i]`` is the int standing for g^i, g a generator of the
+    multiplicative group, and ``one_plus[i]`` the int standing for
+    1 + g^i; 0 stands for 0.  The Zech table holds the log of 1 + g^i, -1
+    when that is 0.  The field contexts build the tables from the powers
+    of g = x, so ``x`` is p; the tests also build them over k0 from other
+    generators.  For p = 2 a sum is the XOR of the coefficient bits.  A
+    power map permutes the logs, so each of ``sigma_maps`` is a lookup
+    table of q entries.  ``linear`` looks up one table per chunk of c
+    digits, p^c <= _CHUNK_ENTRIES, holding the combination of that
+    chunk's images for every value of its digits.  ``wide`` is None:
+    lifting rows into wide slots cost more, in each context's set-up,
+    than the products it saved.
+    """
+
+    wide = None
+
+    def __init__(self, p, m, exp, one_plus):
+        qm1 = len(exp)
+        log = [-1] * (qm1 + 1)  # 0 has no log
+        for i, v in enumerate(exp):
+            log[v] = i
+        self.p, self.m, self.x = p, m, p
+        self.zero = 0
+        self.one = exp[0]
+        self._exp, self._log, self._qm1 = exp, log, qm1
+        self._log1p = list(map(log.__getitem__, one_plus))
+        self._neg_log = 0 if p == 2 else qm1 // 2
+        if p == 2:
+            self.add = xor
+
+    # Logs differ by less than q - 1, so a negative index into a table of
+    # length q - 1 reduces them mod q - 1, and so does subtracting q - 1
+    # from a sum of two logs.
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._log1p[log[b] - la]
+        if z < 0:
+            return 0
+        return self._exp[la + z - self._qm1]
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b] - self._qm1]
+        return 0
+
+    def neg(self, a):
+        if a == 0:
+            return 0
+        return self._exp[(self._log[a] + self._neg_log) % self._qm1]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroNotInvertible("0 has no inverse")
+        return self._exp[-self._log[a] % self._qm1]
+
+    def pow(self, a, k):
+        if a == 0:
+            if k > 0:
+                return 0
+            if k == 0:
+                return self.one
+            raise ZeroNotInvertible("0 has no negative powers")
+        return self._exp[self._log[a] * k % self._qm1]
+
+    def digits(self, v):
+        out = []
+        for _ in range(self.m):
+            v, d = divmod(v, self.p)
+            out.append(d)
+        return tuple(out)
+
+    def pack(self, ds):
+        v = 0
+        for d in reversed(ds):
+            v = v * self.p + d
+        return v
+
+    from_base_p = staticmethod(_identity)
+
+    def linear(self, images):
+        p, add = self.p, self.add
+        c = 1
+        while c < self.m and p ** (c + 1) <= _CHUNK_ENTRIES:
+            c += 1
+        size = p**c
+        tables = []
+        for lo in range(0, self.m, c):
+            tab = [0]
+            for img in images[lo : lo + c]:
+                multiples = [0]
+                for _ in range(p - 1):
+                    multiples.append(add(multiples[-1], img))
+                tab = [add(t, u) for u in multiples for t in tab]
+            tables.append(tab)
+
+        def apply(v):
+            r = 0
+            for tab in tables:
+                v, d = divmod(v, size)
+                r = add(r, tab[d])
+            return r
+
+        return apply
+
+    def sigma_maps(self, k, n):
+        exp, qm1 = self._exp, self._qm1
+        step = [exp[i * k % qm1] for i in self._log]  # (g^i)^k = g^(i*k mod (q - 1))
+        step[0] = 0
+        tabs = [range(qm1 + 1), step]
+        for _ in range(2, n):
+            tabs.append(list(map(step.__getitem__, tabs[-1])))
+        return [tab.__getitem__ for tab in tabs]
+
+
 class PackedField:
-    """Shared square-and-multiply power of the packed backends.
+    """What the packed backends share: square-and-multiply powers and the
+    sigma maps.
 
     Coefficient i sits at bit ``shift*i``, so x is ``1 << shift`` and its
-    powers below x^m (the parser's g^k) are single shifts.
+    powers below x^m (the parser's g^k) are single shifts.  Both reduce a
+    product through the precomputed images of x^m, ..., x^(2m-2) and
+    invert by the extended Euclidean algorithm over GF(p)[x] (Knuth,
+    TAOCP vol. 2, 4.6.1).  Nothing needs f to be irreducible except
+    ``inv``, which raises ZeroNotInvertible for an element sharing a
+    factor with f, so Rabin's test runs on a kernel, with the Frobenius
+    map v -> v^p from ``sigma_maps``.
     """
 
     def pow(self, a, k):
@@ -118,17 +250,32 @@ class PackedField:
             k >>= 1
         return out
 
+    def sigma_maps(self, k, n):
+        """Each map is ``linear`` of the images of the basis 1, x, ...,
+        x^(m-1): under v -> v^k those are the powers of x^k, and each
+        further power of the map takes them once more through the first."""
+        x_k = self.pow(self.x, k)
+        images = [1]
+        for _ in range(self.m - 1):
+            images.append(self.mul(images[-1], x_k))
+        maps = [_identity, self.linear(images)]
+        for _ in range(2, n):
+            images = list(map(maps[1], images))
+            maps.append(self.linear(images))
+        return maps
+
 
 class PackedGF2(PackedField):
     """GF(2^m) on bit-packed ints: bit i is the coefficient of x^i.
 
-    Sums are XOR.  Products are windowed shift-XOR carry-less products,
-    reduced through the precomputed images of x^m, ..., x^(2m-2); inverses
-    run the extended Euclidean algorithm on the packed polynomials.
+    Sums are XOR.  Products are windowed shift-XOR carry-less products.
     GF(2)-linear maps (sigma^j, the reduction) are lookup tables on
     chunks of bits, with chunks small enough that ``maps`` of them fit in
-    LINEAR_TABLE_BUDGET entries.
+    LINEAR_TABLE_BUDGET entries.  Sums of carry-less products have no
+    plain-int form, so ``wide`` is None.
     """
+
+    wide = None
 
     def __init__(self, m, modulus, maps):
         self.m = m
@@ -197,11 +344,9 @@ class PackedGF2(PackedField):
             v = v << 1 | d
         return v
 
-    def from_base_p(self, v):
-        return v
+    from_base_p = staticmethod(_identity)
 
     def linear(self, images):
-        """v -> XOR of images[i] over the set bits i of v."""
         c = self._chunk
         tables = []
         for lo in range(0, len(images), c):
@@ -224,13 +369,15 @@ class PackedGF2(PackedField):
 class PackedOddField(PackedField):
     """GF(p^m), p odd, on Kronecker-packed ints: coefficient i in slot i.
 
-    Sums, negatives and GF(p)-linear maps are big-int sums reduced slot
-    by slot.  A product is one big-int product, reduced mod p and then
-    through the precomputed images of x^m, ..., x^(2m-2); inverses run
-    the extended Euclidean algorithm on the packed polynomials.  A slot
-    holds m*(p-1)^2, one product's worth; where that fits in one byte,
-    ``wide(k)`` gives the lift into slots that hold k*m*(p-1)^2 and the
-    reduction back, for sums of k products reduced once.
+    A slot is byte-aligned and holds m*(p-1)^2, so a product of two
+    packed polynomials is one big-int product (Kronecker substitution;
+    Harvey, JSC 2009), reduced mod p slot by slot and then folded.  Sums,
+    negatives and GF(p)-linear maps are big-int sums reduced slot by
+    slot.  Where a slot is one byte (m*(p-1)^2 < 256), ``wide`` gives
+    delayed reduction, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
+    TOMS 2008); wider slots would be reduced digit by digit in Python,
+    the step that made a delayed sum lose to the row loop, so there it is
+    None.
     """
 
     def __init__(self, p, m, modulus):
@@ -252,6 +399,8 @@ class PackedOddField(PackedField):
             cur = self._reduce((cur & ((1 << top) - 1)) + (cur >> top) * x_m)
         self._fold = fold
         self._wide = {}  # slot bytes -> (lift, reduce), see wide
+        if self._bits > 8:
+            self.wide = None
 
     def _reduce(self, v):
         return self._join(self._split(v, self.m))
@@ -270,14 +419,13 @@ class PackedOddField(PackedField):
     def wide(self, k):
         """(lift, reduce) for a sum of up to k products, reduced once.
 
-        Only for one-byte kernel slots (m*(p-1)^2 < 256), where a value's
-        bytes are its digits.  lift(a) re-spreads the m digits of a into
-        slots of slot_codec(p, m*k) width.  The plain-int product of two
-        lifted values then has 2m - 1 slots of at most m*(p-1)^2 each, so
-        a plain-int sum of k such products overflows no slot.  reduce(s)
-        is the element such a sum stands for: every slot mod p, then
-        folded through the images of x^m, ..., x^(2m-2) as mul folds one
-        product.  The pair is built once per slot width.
+        lift(a) re-spreads the m digits of a, its bytes, into slots of
+        slot_codec(p, m*k) width.  The plain-int product of two lifted
+        values then has 2m - 1 slots of at most m*(p-1)^2 each, so a
+        plain-int sum of k such products overflows no slot.  reduce(s) is
+        the element such a sum stands for: every slot mod p, then folded
+        through the images of x^m, ..., x^(2m-2) as mul folds one product.
+        The pair is built once per slot width.
         """
         p, m = self.p, self.m
         nbytes = _slot_bytes(m * k * (p - 1) ** 2)
@@ -350,6 +498,5 @@ class PackedOddField(PackedField):
         return self._join(ds)
 
     def linear(self, images):
-        """v -> sum of digit_i(v) * images[i], reduced."""
         split, join, m = self._split, self._join, self.m
         return lambda v: join(split(sum(map(mul, split(v, m), images)), m))

@@ -12,7 +12,7 @@ from skewlaurent.field_tower import (
     _kernel,
     _prime_factors,
 )
-from skewlaurent.linalg import ZechScalars
+from skewlaurent.packed import ZechScalars
 from skewlaurent.skew_series import SkewSeries
 
 
@@ -231,12 +231,15 @@ def log_tables(p, q, candidates, mul, add, pow_, index):
     gives the int that stands for each element in the tables.
     """
     qm1 = q - 1
+    d = 1
+    while p**d < q:
+        d += 1
     fac = _prime_factors(qm1)
     gen = next(g for g in candidates if all(pow_(g, qm1 // r) != 1 for r in fac))
     powers = [1]
     for _ in range(qm1 - 1):
         powers.append(mul(powers[-1], gen))
-    return ZechScalars(p, [index(v) for v in powers], [index(add(1, v)) for v in powers])
+    return ZechScalars(p, d, [index(v) for v in powers], [index(add(1, v)) for v in powers])
 
 
 def kernel_walk_tables(p, m, mod):

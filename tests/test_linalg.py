@@ -66,8 +66,6 @@ def test_packed_elimination_matches_the_scalar_oracle(p):
         assert linalg.kernel_from_columns(columns, p) == oracle.kernel_from_columns(
             columns, scalars
         ), what
-        if columns:
-            assert linalg.pivot_rows(columns, p) == oracle.pivot_rows(columns, scalars), what
         if len(rows) == len(rows[0] if rows else ()):
             try:
                 want = oracle.invert_matrix(rows, scalars)

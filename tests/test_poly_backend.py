@@ -13,6 +13,7 @@ over digit tuples, which shares no code with either backend.
 
 import importlib
 import random
+from math import gcd
 
 import pytest
 
@@ -21,8 +22,7 @@ from skewlaurent.cli import certificate_to_json
 from skewlaurent.decompose import decompose, factor_avoiding_multiples, factor_with_l_coeffs
 from skewlaurent.errors import UnsupportedOrder
 from skewlaurent.field_tower import FiniteFieldCtx
-from skewlaurent.linalg import ZechScalars
-from skewlaurent.packed import PackedField, PackedOddField
+from skewlaurent.packed import PackedField, PackedGF2, PackedOddField, ZechScalars
 from skewlaurent.reduced_trace import reduced_trace
 from skewlaurent.skew_series import SkewSeries, commutator, zero
 
@@ -373,3 +373,51 @@ def test_delayed_reduction_only_on_odd_packed_fields(gf34, gf220, qt_shift, gf58
     for p, m in ((17, 5), (257, 3)):
         ctx = FiniteFieldCtx(p, m)
         assert ctx._mul.__self__.shift > 8 and ctx._wide is None
+
+
+# ---------------------------------------------------------------------------
+# the backend interface: a context binds Zech tables, PackedGF2 or
+# PackedOddField without asking which, so each must keep the same contract
+
+# (p, m, backend): GF(5^4)'s default modulus leaves x non-primitive, so
+# it has no Zech tables
+CONTRACT = [
+    (2, 4, ZechScalars), (2, 4, PackedGF2), (3, 4, ZechScalars), (3, 4, PackedOddField),
+    (2, 8, ZechScalars), (2, 8, PackedGF2), (5, 4, PackedOddField),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "p, m, kind", CONTRACT, ids=[f"gf({p}^{m})-{k.__name__}" for p, m, k in CONTRACT]
+)
+def test_backends_share_one_interface(p, m, kind):
+    q, mod = p**m, field_tower.default_modulus(p, m)
+    tables = field_tower._x_tables(p, m, mod)
+    assert (tables is None) == ((p, m) == (5, 4))
+    ops = tables if kind is ZechScalars else field_tower._kernel(p, m, mod, m)
+    assert type(ops) is kind
+    values = [ops.from_base_p(i) for i in range(q)]
+    assert [ops.digits(v) for v in values] == [
+        tuple(i // p**k % p for k in range(m)) for i in range(q)
+    ]
+    assert all(ops.pack(ops.digits(v)) == v for v in values)
+    assert ops.digits(ops.x) == (0, 1) + (0,) * (m - 2)
+    assert all(ops.add(v, ops.neg(v)) == 0 for v in values)
+    for e in range(1, m):
+        n = m // gcd(m, e)
+        maps = ops.sigma_maps(p**e, n)
+        assert len(maps) == n
+        for j, sig in enumerate(maps):
+            k = p ** (e * j)
+            assert [sig(v) for v in values] == [ops.pow(v, k) for v in values], (e, j)
+    rng = random.Random(f"contract:{p}:{m}:{kind.__name__}")
+    images = [rng.choice(values) for _ in range(m)]
+    lin = ops.linear(images)
+    for v in values:
+        want = 0
+        for d, img in zip(ops.digits(v), images):
+            for _ in range(d):
+                want = ops.add(want, img)
+        assert lin(v) == want, v
+    one_byte_odd_kernel = isinstance(ops, PackedOddField) and m * (p - 1) ** 2 < 256
+    assert (ops.wide is not None) == one_byte_odd_kernel
